@@ -15,6 +15,7 @@ from .cascade_core import (
     LeafCensus,
     LeafCountSample,
     PathExtrema,
+    SamplerCapError,
     TailFlags,
     crossing_horizon_cut,
     derive_stream,
@@ -47,9 +48,8 @@ from .monte_carlo import (
     Histogram,
     McConfig,
     compare_series,
-    estimate_L_tail,
-    estimate_S_tail,
     estimate_leaf_histogram,
+    estimate_path_tails,
     estimate_v_curve,
 )
 
@@ -60,6 +60,7 @@ __all__ = [
     "LeafCensus",
     "LeafCountSample",
     "PathExtrema",
+    "SamplerCapError",
     "TailFlags",
     "crossing_horizon_cut",
     "derive_stream",
@@ -88,8 +89,7 @@ __all__ = [
     "Histogram",
     "McConfig",
     "compare_series",
-    "estimate_L_tail",
-    "estimate_S_tail",
     "estimate_leaf_histogram",
+    "estimate_path_tails",
     "estimate_v_curve",
 ]

@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "CascadeParams",
     "ClockSource",
+    "SamplerCapError",
     "PathExtrema",
     "LeafCountSample",
     "LeafCensus",
@@ -41,6 +42,10 @@ _MAX_EXTREMA_DEPTH = 22  # exact extrema hold all 2**depth path sums in memory
 _DEFAULT_FRONTIER_CAP = 1 << 24
 _DEFAULT_VISIT_CAP = 50_000_000
 _CLOCK_BLOCK = 256
+
+
+class SamplerCapError(RuntimeError):
+    """Raised when a sampler's alive frontier or visit count exceeds its cap."""
 
 
 @dataclass(frozen=True)
@@ -211,7 +216,7 @@ def leaf_census(
             break
         horizons = np.repeat(alpha * survivors, 2)
         if horizons.size > frontier_cap:
-            raise RuntimeError(
+            raise SamplerCapError(
                 f"alive frontier exceeded {frontier_cap} vertices at depth {d + 1}; "
                 "reduce depth or raise frontier_cap"
             )
@@ -319,7 +324,7 @@ def sample_product_indicator(
         survivors = nonzero[draws <= nonzero] - draws[draws <= nonzero]
         horizons = np.repeat(alpha * survivors, 2)
         if horizons.size > frontier_cap:
-            raise RuntimeError(
+            raise SamplerCapError(
                 f"alive frontier exceeded {frontier_cap} vertices; "
                 "reduce n or raise frontier_cap"
             )
@@ -354,27 +359,6 @@ def crossing_horizon_cut(alpha: float, log_prob: float = -70.0) -> float:
     return float(best)
 
 
-class _ClockBuffer:
-    """Scalar clock draws served from vectorized blocks; preserves draw order."""
-
-    __slots__ = ("_clocks", "_gen", "_block", "_buf", "_pos")
-
-    def __init__(self, clocks: ClockSource, gen: np.random.Generator, block: int = _CLOCK_BLOCK):
-        self._clocks = clocks
-        self._gen = gen
-        self._block = block
-        self._buf = clocks.draw(gen, block)
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos == self._block:
-            self._buf = self._clocks.draw(self._gen, self._block)
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return float(v)
-
-
 def sample_tail_flags(
     params: CascadeParams,
     t: float,
@@ -392,41 +376,51 @@ def sample_tail_flags(
     to probability exp(-70); it is resolved without descent, which keeps
     the search polynomial at any depth.  Both flags come from the same
     tree, so {min > t} implies {max > t} sample by sample.
+
+    Clocks are drawn in blocks of 256 and consumed in visit order, so the
+    flags and the stream position after the call depend only on the tree.
     """
     _validate_horizon_depth(t, depth, 2**31)
     alpha = params.alpha
     if t == 0.0:
         return TailFlags(True, True)  # all clocks are positive
-    cut = crossing_horizon_cut(alpha) if alpha > 1.0 else None
-    buf = _ClockBuffer(clocks, stream)
+    cut = crossing_horizon_cut(alpha) if alpha > 1.0 else math.inf
+    block = clocks.draw(stream, _CLOCK_BLOCK).tolist()
+    pos = 0
     crossing_found = False
     alive_found = False
     visits = 0
     stack = [(float(t), 0)]
+    pop = stack.pop
+    push = stack.append
     while stack:
         if crossing_found and alive_found:
             break
-        horizon, d = stack.pop()
+        horizon, d = pop()
         visits += 1
         if visits > visit_cap:
-            raise RuntimeError(
+            raise SamplerCapError(
                 f"tail-flag search exceeded {visit_cap} vertex visits; "
                 "raise visit_cap or reduce depth"
             )
         if horizon == 0.0:
             crossing_found = True  # horizon-0 vertex is a leaf
             continue
-        if cut is not None and horizon > cut:
+        if horizon > cut:
             alive_found = True  # crossing probability below exp(-70)
             continue
-        clock = buf.next()
+        if pos == _CLOCK_BLOCK:
+            block = clocks.draw(stream, _CLOCK_BLOCK).tolist()
+            pos = 0
+        clock = block[pos]
+        pos += 1
         if clock > horizon:
             crossing_found = True
             continue
         if d == depth:
             alive_found = True
             continue
-        child = alpha * (horizon - clock)
-        stack.append((child, d + 1))
-        stack.append((child, d + 1))
+        child = (alpha * (horizon - clock), d + 1)
+        push(child)
+        push(child)
     return TailFlags(not alive_found, crossing_found)

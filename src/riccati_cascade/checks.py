@@ -44,9 +44,8 @@ from .grid_numerics import (
 )
 from .monte_carlo import (
     McConfig,
-    estimate_L_tail,
-    estimate_S_tail,
     estimate_leaf_histogram,
+    estimate_path_tails,
     estimate_v_curve,
 )
 
@@ -290,8 +289,7 @@ def check_tail_domination(alpha: float, seed: int, samples: int) -> CheckResult:
     and both indicator families are monotone in depth within one census."""
     cfg = McConfig(seed=seed, samples=samples, depth=12)
     ts = [1.0, 2.0, 4.0]
-    s_series = estimate_S_tail(alpha, ts, 12, cfg)
-    l_series = estimate_L_tail(alpha, ts, 12, cfg)
+    s_series, l_series = estimate_path_tails(alpha, ts, 12, cfg)
     dominated = bool(np.all(l_series.means() >= s_series.means()))
     params = CascadeParams(alpha, seed)
     clocks = ClockSource.exponential()

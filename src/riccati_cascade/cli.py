@@ -26,6 +26,7 @@ from .analysis_io import (
     write_manifest,
     write_series_csv,
 )
+from .cascade_core import SamplerCapError
 from .checks import run_all_checks
 from .grid_numerics import (
     GridFunction,
@@ -39,9 +40,8 @@ from .grid_numerics import (
 )
 from .monte_carlo import (
     McConfig,
-    estimate_L_tail,
-    estimate_S_tail,
     estimate_leaf_histogram,
+    estimate_path_tails,
     estimate_v_curve,
 )
 
@@ -55,7 +55,7 @@ def _env_default(name: str, cast, fallback):
     try:
         return cast(raw)
     except (TypeError, ValueError):
-        raise SystemExit(f"invalid value {raw!r} for {_ENV_PREFIX}{name}") from None
+        raise ValueError(f"invalid value {raw!r} for {_ENV_PREFIX}{name}") from None
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -246,8 +246,7 @@ def _cmd_paths(args) -> int:
     out = _out_dir(args, "paths", manifest)
     cfg = McConfig(seed=seed, samples=args.samples, depth=args.depth, workers=args.workers)
     t_points = np.arange(0.0, args.t_max + args.t_step / 2.0, args.t_step)
-    s_series = estimate_S_tail(args.alpha, t_points, args.depth, cfg)
-    l_series = estimate_L_tail(args.alpha, t_points, args.depth, cfg)
+    s_series, l_series = estimate_path_tails(args.alpha, t_points, args.depth, cfg)
     files = [
         write_series_csv(s_series, out / "s_tail.csv"),
         write_series_csv(l_series, out / "l_tail.csv"),
@@ -390,14 +389,16 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    except ValueError as exc:  # an invalid RICCATI_* default
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, GridMemoryError, OSError) as exc:
+    except (ValueError, GridMemoryError, SamplerCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

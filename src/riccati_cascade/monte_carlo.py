@@ -4,6 +4,9 @@ Every estimator derives one counter-based substream per (point, sample)
 pair, so results are bit-identical for any worker count: workers only
 decide who computes which fixed chunk of the sample index space.
 Standard errors are CLT-based (sample standard deviation / sqrt(n)).
+
+The two path tails come from one estimator: each tree is searched once
+and yields both the min- and the max-path-sum indicator.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ __all__ = [
     "ComparisonReport",
     "estimate_v_curve",
     "estimate_leaf_histogram",
-    "estimate_S_tail",
-    "estimate_L_tail",
+    "estimate_path_tails",
     "compare_series",
 ]
 
@@ -244,16 +246,28 @@ def _tail_chunk(task) -> tuple[np.ndarray, np.ndarray]:
     return s_flags, l_flags
 
 
-def _estimate_tail_series(
+def estimate_path_tails(
     alpha: float,
     t_points,
     depth: int,
     cfg: McConfig,
-    clocks: ClockSource | None,
-    which: str,
-) -> EstimateSeries:
+    clocks: ClockSource | None = None,
+) -> tuple[EstimateSeries, EstimateSeries]:
+    """Empirical P(min path sum at `depth` > t) and P(max path sum at `depth` > t).
+
+    Returns the (S, L) series.  One tail-flag search per tree yields both
+    indicators, so the two series share every tree and L >= S holds
+    pointwise, sample by sample.  The S-tail increases to the minimal
+    solution's tail as depth grows; the L-tail is a lower bound for the
+    longest-path tail that is nondecreasing in depth, with expectation
+    1 - U_{depth+1}(t) (the Picard complement).  Each t gets fresh
+    substreams (index = point * samples + sample), so points are
+    independent.
+    """
+    if alpha <= 0.0:
+        raise ValueError("path tails require alpha > 0")
     clocks = clocks or ClockSource.exponential()
-    points = []
+    s_points, l_points = [], []
     for t_idx, t in enumerate(float(t) for t in t_points):
         if t < 0.0:
             raise ValueError(f"t_points must be >= 0, got {t}")
@@ -262,44 +276,10 @@ def _estimate_tail_series(
             (alpha, cfg.seed, t, depth, clocks, base, lo, hi) for lo, hi in _chunks(cfg.samples)
         ]
         results = _map_chunks(_tail_chunk, tasks, cfg.workers)
-        col = 0 if which == "s" else 1
-        flags = np.concatenate([r[col] for r in results])
-        mean, stderr = _mean_stderr(flags)
-        points.append(EstimatePoint(t, mean, stderr, cfg.samples))
-    return EstimateSeries(tuple(points))
-
-
-def estimate_S_tail(
-    alpha: float,
-    t_points,
-    depth: int,
-    cfg: McConfig,
-    clocks: ClockSource | None = None,
-) -> EstimateSeries:
-    """Empirical P(min path sum at `depth` > t); increases to the minimal
-    solution's tail as depth grows.
-
-    Shares trees with :func:`estimate_L_tail` at equal config (both flags
-    come from one traversal per sample), so the L series dominates this one
-    pointwise, sample by sample.
-    """
-    if alpha <= 0.0:
-        raise ValueError("path tails require alpha > 0")
-    return _estimate_tail_series(alpha, t_points, depth, cfg, clocks, "s")
-
-
-def estimate_L_tail(
-    alpha: float,
-    t_points,
-    depth: int,
-    cfg: McConfig,
-    clocks: ClockSource | None = None,
-) -> EstimateSeries:
-    """Empirical P(max path sum at `depth` > t), a lower bound for the
-    longest-path tail that is nondecreasing in depth."""
-    if alpha <= 0.0:
-        raise ValueError("path tails require alpha > 0")
-    return _estimate_tail_series(alpha, t_points, depth, cfg, clocks, "l")
+        for col, points in ((0, s_points), (1, l_points)):
+            mean, stderr = _mean_stderr(np.concatenate([r[col] for r in results]))
+            points.append(EstimatePoint(t, mean, stderr, cfg.samples))
+    return EstimateSeries(tuple(s_points)), EstimateSeries(tuple(l_points))
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,8 @@ from riccati_cascade import (
     check_identity_v_q,
     compare_series,
     derive_stream,
-    estimate_L_tail,
-    estimate_S_tail,
     estimate_leaf_histogram,
+    estimate_path_tails,
     estimate_v_curve,
     evaluate,
     integrate_tail,
@@ -171,7 +170,7 @@ def test_criterion_07_three_ordered_solutions():
     start = time.perf_counter()
     ts = [4.0, 6.0, 8.0]
     cfg = McConfig(seed=SEED + 3, samples=10_000, depth=30)
-    lower = estimate_S_tail(1.5, ts, 30, cfg)
+    lower, _ = estimate_path_tails(1.5, ts, 30, cfg)
     v0 = picard_v0(1.5, GRID, 5)
     cfg_v = McConfig(seed=SEED + 4, samples=10_000, depth=10)
     middle = estimate_v_curve(1.5, ts, 10, v0, cfg_v)
@@ -252,7 +251,7 @@ def test_criterion_09_integrability_diagnostic():
 
     # 1 - U_8(t) = P(L_7 > t): tree sampling gives the grid-end value independently
     cfg = McConfig(seed=SEED, samples=20_000, depth=7)
-    tail_mc = estimate_L_tail(1.5, [GRID.t_end], 7, cfg)
+    _, tail_mc = estimate_path_tails(1.5, [GRID.t_end], 7, cfg)
     tail_report = compare_series(tail_mc, q8, z_threshold=4.0, min_fraction=1.0)
     point = tail_mc.points[0]
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from riccati_cascade import (
     CascadeParams,
     ClockSource,
+    SamplerCapError,
+    TailFlags,
     crossing_horizon_cut,
     derive_stream,
     leaf_census,
@@ -25,6 +27,65 @@ EXP = ClockSource.exponential()
 
 def params(alpha, seed=12345):
     return CascadeParams(alpha, seed)
+
+
+class _ClockBuffer:
+    """Scalar clock draws served from vectorized blocks; preserves draw order."""
+
+    __slots__ = ("_clocks", "_gen", "_block", "_buf", "_pos")
+
+    def __init__(self, clocks, gen, block=256):
+        self._clocks = clocks
+        self._gen = gen
+        self._block = block
+        self._buf = clocks.draw(gen, block)
+        self._pos = 0
+
+    def next(self):
+        if self._pos == self._block:
+            self._buf = self._clocks.draw(self._gen, self._block)
+            self._pos = 0
+        v = self._buf[self._pos]
+        self._pos += 1
+        return float(v)
+
+
+def _reference_tail_flags(params, t, depth, clocks, stream, visit_cap=50_000_000):
+    """The tail-flag search in its first, plainest form: the oracle for the
+    flags `sample_tail_flags` returns and for the clocks it consumes."""
+    alpha = params.alpha
+    if t == 0.0:
+        return TailFlags(True, True)
+    cut = crossing_horizon_cut(alpha) if alpha > 1.0 else None
+    buf = _ClockBuffer(clocks, stream)
+    crossing_found = False
+    alive_found = False
+    visits = 0
+    stack = [(float(t), 0)]
+    while stack:
+        if crossing_found and alive_found:
+            break
+        horizon, d = stack.pop()
+        visits += 1
+        if visits > visit_cap:
+            raise RuntimeError("visit cap")
+        if horizon == 0.0:
+            crossing_found = True
+            continue
+        if cut is not None and horizon > cut:
+            alive_found = True
+            continue
+        clock = buf.next()
+        if clock > horizon:
+            crossing_found = True
+            continue
+        if d == depth:
+            alive_found = True
+            continue
+        child = alpha * (horizon - clock)
+        stack.append((child, d + 1))
+        stack.append((child, d + 1))
+    return TailFlags(not alive_found, crossing_found)
 
 
 class TestDeriveStream:
@@ -314,3 +375,28 @@ class TestTailFlags:
         a = sample_tail_flags(p, 2.0, 25, EXP, derive_stream(p, 9))
         b = sample_tail_flags(p, 2.0, 25, EXP, derive_stream(p, 9))
         assert a == b
+
+    def test_same_flags_and_clocks_as_reference_search(self):
+        # the flags and the stream position after the search are both
+        # pinned: a reordered or skipped draw changes the next draws
+        index = 0
+        for alpha in (0.66, 1.0, 1.5, 3.0):
+            p = params(alpha, seed=67)
+            for t in (0.0, 0.5, 2.0, 8.0):
+                for depth in (0, 1, 5, 30):
+                    for _ in range(60):
+                        want_stream = derive_stream(p, index)
+                        got_stream = derive_stream(p, index)
+                        want = _reference_tail_flags(p, t, depth, EXP, want_stream)
+                        got = sample_tail_flags(p, t, depth, EXP, got_stream)
+                        assert got == want, (alpha, t, depth, index)
+                        assert np.array_equal(
+                            got_stream.standard_exponential(4),
+                            want_stream.standard_exponential(4),
+                        ), (alpha, t, depth, index)
+                        index += 1
+
+    def test_visit_cap_raises_typed_error(self):
+        p = params(1.5, seed=71)
+        with pytest.raises(SamplerCapError, match="visit"):
+            sample_tail_flags(p, 8.0, 30, EXP, derive_stream(p, 0), visit_cap=3)

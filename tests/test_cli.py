@@ -3,9 +3,10 @@
 import csv
 
 import numpy as np
-import pytest
 
+from riccati_cascade import cli
 from riccati_cascade.analysis_io import file_digest, load_manifest, verify_manifest
+from riccati_cascade.cascade_core import SamplerCapError
 from riccati_cascade.cli import main
 
 
@@ -107,10 +108,21 @@ class TestEnvOverrides:
                    "--depth", "5", "--seed", "9") == 0
         assert "alpha=0.66" in capsys.readouterr().out
 
-    def test_invalid_env_value(self, tmp_path, monkeypatch):
+    def test_invalid_env_value(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RICCATI_SAMPLES", "many")
-        with pytest.raises(SystemExit):
-            run(tmp_path, "hist", "--seed", "9")
+        assert run(tmp_path, "hist", "--seed", "9") == 2
+        assert "RICCATI_SAMPLES" in capsys.readouterr().err
+
+
+class TestSamplerCaps:
+    def test_cap_overrun_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        def overrun(*args, **kwargs):
+            raise SamplerCapError("alive frontier exceeded 8 vertices at depth 3")
+
+        monkeypatch.setattr(cli, "estimate_leaf_histogram", overrun)
+        assert run(tmp_path, "hist", "--seed", "9") == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "error: alive frontier exceeded 8 vertices at depth 3"
 
 
 class TestReproducibility:

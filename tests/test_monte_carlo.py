@@ -7,18 +7,21 @@ import numpy as np
 import pytest
 
 from riccati_cascade import (
+    CascadeParams,
+    ClockSource,
     GridFunction,
     Histogram,
     McConfig,
     UniformGrid,
     compare_series,
-    estimate_L_tail,
-    estimate_S_tail,
+    derive_stream,
     estimate_leaf_histogram,
+    estimate_path_tails,
     estimate_v_curve,
     evaluate,
     iterate_vn,
     picard_v0,
+    sample_tail_flags,
 )
 
 GRID = UniformGrid(8.0, 0.01)
@@ -117,36 +120,53 @@ class TestLeafHistogram:
 class TestPathTails:
     def test_zero_horizon_exact(self):
         cfg = McConfig(seed=9, samples=300)
-        for estimator in (estimate_S_tail, estimate_L_tail):
-            point = estimator(1.5, [0.0], 10, cfg).points[0]
+        for series in estimate_path_tails(1.5, [0.0], 10, cfg):
+            point = series.points[0]
             assert point.mean == 1.0
             assert point.stderr == 0.0
 
     def test_critical_value_min_path_never_finite_early(self):
         # at alpha=1 the depth-30 min path sum concentrates near 31
         cfg = McConfig(seed=10, samples=1000, depth=30)
-        series = estimate_S_tail(1.0, [1.0, 4.0], 30, cfg)
+        series, _ = estimate_path_tails(1.0, [1.0, 4.0], 30, cfg)
         for p in series.points:
             assert p.mean >= 1.0 - 3.0 * max(p.stderr, 1e-12)
 
     def test_l_dominates_s_pointwise(self):
         cfg = McConfig(seed=11, samples=1500, depth=12)
         ts = [0.5, 1.0, 2.0, 4.0]
-        s_series = estimate_S_tail(1.5, ts, 12, cfg)
-        l_series = estimate_L_tail(1.5, ts, 12, cfg)
+        s_series, l_series = estimate_path_tails(1.5, ts, 12, cfg)
         assert np.all(l_series.means() >= s_series.means())
+
+    def test_series_are_flag_means_over_one_set_of_trees(self):
+        cfg = McConfig(seed=15, samples=400, depth=12)
+        ts = [0.5, 2.0, 4.0]
+        s_series, l_series = estimate_path_tails(1.5, ts, 12, cfg)
+        p = CascadeParams(1.5, cfg.seed)
+        exp = ClockSource.exponential()
+        for t_idx, t in enumerate(ts):
+            flags = [
+                sample_tail_flags(p, t, 12, exp, derive_stream(p, t_idx * cfg.samples + i))
+                for i in range(cfg.samples)
+            ]
+            s_mean = np.mean([float(f.s_exceeds) for f in flags])
+            l_mean = np.mean([float(f.l_exceeds) for f in flags])
+            assert s_series.points[t_idx].mean == s_mean
+            assert l_series.points[t_idx].mean == l_mean
+            assert l_series.points[t_idx].mean >= s_series.points[t_idx].mean
+        assert s_series.ts().tolist() == l_series.ts().tolist() == ts
 
     def test_strong_hyperexplosion_matches_picard_complement(self):
         u8 = picard_v0(3.0, GRID, 8)
         cfg = McConfig(seed=12, samples=2000, depth=30)
-        series = estimate_L_tail(3.0, [2.0, 4.0], 30, cfg)
+        _, series = estimate_path_tails(3.0, [2.0, 4.0], 30, cfg)
         for p in series.points:
             ref = 1.0 - evaluate(u8, p.t)
             assert abs(p.mean - ref) <= 4.0 * p.stderr + 1e-3
 
     def test_requires_positive_alpha(self):
         with pytest.raises(ValueError):
-            estimate_S_tail(0.0, [1.0], 5, McConfig(seed=1, samples=10))
+            estimate_path_tails(0.0, [1.0], 5, McConfig(seed=1, samples=10))
 
 
 class TestReproducibility:
@@ -157,7 +177,7 @@ class TestReproducibility:
             cfg = McConfig(seed=13, samples=300, depth=8, workers=workers)
             series.append(estimate_v_curve(1.5, [1.0, 3.0], 8, v0, cfg))
             hists.append(estimate_leaf_histogram(1.5, 2.0, 8, cfg))
-            tails.append(estimate_S_tail(1.5, [2.0], 15, cfg))
+            tails.append(estimate_path_tails(1.5, [2.0], 15, cfg))
         assert series[0] == series[1]
         assert hists[0] == hists[1]
         assert tails[0] == tails[1]
