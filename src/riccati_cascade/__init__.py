@@ -37,6 +37,7 @@ from .grid_numerics import (
     evaluate,
     integrate_tail,
     iterate_qn,
+    iterate_qn_levels,
     iterate_vn,
     picard_v0,
     riccati_residual,
@@ -80,6 +81,7 @@ __all__ = [
     "evaluate",
     "integrate_tail",
     "iterate_qn",
+    "iterate_qn_levels",
     "iterate_vn",
     "picard_v0",
     "riccati_residual",

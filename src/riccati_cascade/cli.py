@@ -9,6 +9,7 @@ prints the seed so any run can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import secrets
 import sys
@@ -34,6 +35,7 @@ from .grid_numerics import (
     UniformGrid,
     evaluate,
     iterate_qn,
+    iterate_qn_levels,
     iterate_vn,
     picard_v0,
     riccati_residual,
@@ -163,11 +165,11 @@ def _out_dir(args, command: str, manifest: RunManifest) -> Path:
     return out
 
 
-def _explosion_seed(args, grid: UniformGrid) -> GridFunction:
+def _explosion_seed(args, alpha: float, grid: UniformGrid) -> GridFunction:
     """q0 for the explosion chain: 1 for alpha <= 1, else the Picard complement."""
-    if args.alpha <= 1.0:
+    if alpha <= 1.0:
         return GridFunction.constant(grid, 1.0)
-    return picard_v0(args.alpha, grid, args.picard_k, args.eps_tail).complement()
+    return picard_v0(alpha, grid, args.picard_k, args.eps_tail).complement()
 
 
 def _cmd_hist(args) -> int:
@@ -229,7 +231,7 @@ def _cmd_qn(args) -> int:
     manifest = _manifest_for(args, "qn", seed, {})
     out = _out_dir(args, "qn", manifest)
     grid = UniformGrid(args.t_max, args.step)
-    q0 = _explosion_seed(args, grid)
+    q0 = _explosion_seed(args, args.alpha, grid)
     qn = iterate_qn(args.alpha, grid, args.depth, q0, args.eps_tail)
     files = [write_grid_function(qn, out / "qn.csv")]
     files.append(files[-1].with_name(files[-1].name + ".meta.json"))
@@ -329,29 +331,26 @@ def _cmd_sweep(args) -> int:
     try:
         alphas = [float(a) for a in args.alpha_list.split(",") if a.strip()]
     except ValueError:
-        print(f"invalid --alpha-list {args.alpha_list!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"invalid --alpha-list {args.alpha_list!r}") from None
     if not alphas:
-        print("empty --alpha-list", file=sys.stderr)
-        return 2
+        raise ValueError("empty --alpha-list")
+    if args.max_n < 5:
+        raise ValueError(f"--max-n must be >= 5, got {args.max_n}")
+    if not (math.isfinite(args.gap_tol) and args.gap_tol > 0.0):
+        raise ValueError(f"--gap-tol must be finite and > 0, got {args.gap_tol}")
     manifest = _manifest_for(
         args, "sweep", seed, {"alpha-list": args.alpha_list, "t": args.t, "max-n": args.max_n}
     )
     out = _out_dir(args, "sweep", manifest)
     grid = UniformGrid(args.t_max, args.step)
+    levels = range(5, args.max_n + 1, 5)
     rows = []
     for alpha in alphas:
-        if alpha <= 1.0:
-            q0 = GridFunction.constant(grid, 1.0)
-        else:
-            q0 = picard_v0(alpha, grid, args.picard_k, args.eps_tail).complement()
+        q0 = _explosion_seed(args, alpha, grid)
         prev = None
-        q_cur = None
-        n_used = 0
         sup_gap = float("inf")
-        for n in range(5, args.max_n + 1, 5):
-            q_cur = iterate_qn(alpha, grid, n, q0, args.eps_tail)
-            n_used = n
+        # breaking out drops the chain, so later levels are never computed
+        for n_used, q_cur in iterate_qn_levels(alpha, grid, q0, levels, args.eps_tail):
             if prev is not None:
                 sup_gap = float(np.max(np.abs(q_cur.values - prev.values)))
                 if sup_gap < args.gap_tol:

@@ -31,6 +31,7 @@ the excess compounds through the squaring.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,6 +49,7 @@ __all__ = [
     "picard_v0",
     "iterate_vn",
     "iterate_qn",
+    "iterate_qn_levels",
     "riccati_residual",
     "integrate_tail",
     "check_identity_v_q",
@@ -60,6 +62,8 @@ DEFAULT_NODE_CAP = 50_000_000
 
 # tolerated numeric excursion outside [0,1] before construction fails
 _RANGE_SLACK = 1e-9
+# nodes per np.interp call in the chains' step
+_INTERP_BLOCK = 16_384
 
 
 class GridMemoryError(RuntimeError):
@@ -167,7 +171,10 @@ def _trapezoid_convolve(phi: np.ndarray, step: float) -> np.ndarray:
     a = math.exp(-step)
     b = np.empty_like(phi)
     b[0] = 0.0
-    b[1:] = (step / 2.0) * (a * phi[:-1] + phi[1:])
+    # in place, in the operation order of (h/2) * (a * phi[:-1] + phi[1:])
+    np.multiply(phi[:-1], a, out=b[1:])
+    b[1:] += phi[1:]
+    b[1:] *= step / 2.0
     return lfilter([1.0], [1.0, -a], b)
 
 
@@ -226,26 +233,46 @@ def _run_q_iteration(
     alpha: float,
     step: float,
     work_nodes: np.ndarray,
-    n: int,
     seed_eval,
+    q: np.ndarray | None,
+    first: int,
+    n: int,
     collect: set[int] | None,
     n_base: int,
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """n steps of q -> clip(K(2q - q^2)) on the working nodes.
+    """Levels first..n of q -> clip(K(2q - q^2)) on the working nodes.
 
-    seed_eval(args) supplies the seed through its own tail policy; collected
-    levels are restricted to the first n_base+1 nodes.
+    Level first-1 is `q` on the working nodes with tail 0, or, when q is
+    None, the seed that seed_eval(args) supplies through its own tail policy.
+    Collected levels are restricted to the first n_base+1 nodes.
     """
     collected: dict[int, np.ndarray] = {}
-    prev_eval = seed_eval
-    q = None
-    for j in range(1, n + 1):
-        g = prev_eval(alpha * work_nodes)
-        q = np.clip(_trapezoid_convolve(2.0 * g - g * g, step), 0.0, 1.0)
+    for j in range(first, n + 1):
+        g = seed_eval(alpha * work_nodes) if q is None else _advanced(q, work_nodes, alpha)
+        q = None  # drop the previous level before the scan
+        gg = g * g  # 2g - g^2 in place, in the same operation order
+        g *= 2.0
+        g -= gg
+        del gg
+        q = _trapezoid_convolve(g, step)
+        del g
+        np.clip(q, 0.0, 1.0, out=q)
         if collect and j in collect:
             collected[j] = q[: n_base + 1].copy()
-        prev_eval = _array_interp(work_nodes, q, 0.0)
     return q, collected
+
+
+def _advanced(q: np.ndarray, nodes: np.ndarray, alpha: float) -> np.ndarray:
+    """np.interp(alpha * nodes, nodes, q, right=0.0) bit for bit, in blocks.
+
+    Blocks shorter than `nodes` keep np.interp from allocating a full-size
+    argument array and slope table, which lowers the chains' peak memory.
+    """
+    g = np.empty_like(nodes)
+    for start in range(0, len(nodes), _INTERP_BLOCK):
+        block = slice(start, start + _INTERP_BLOCK)
+        g[block] = np.interp(alpha * nodes[block], nodes, q, right=0.0)
+    return g
 
 
 def _array_interp(nodes: np.ndarray, values: np.ndarray, tail: float):
@@ -255,32 +282,54 @@ def _array_interp(nodes: np.ndarray, values: np.ndarray, tail: float):
     return _eval
 
 
-def _adaptive_q_iteration(
+def _adaptive_levels(
     alpha: float,
     grid: UniformGrid,
-    n: int,
+    levels: Iterable[int],
     seed_eval,
     eps_tail: float,
     node_cap: int,
-    expand_full: bool,
+    expand_full: bool = False,
     collect: set[int] | None = None,
-) -> tuple[np.ndarray, dict[int, np.ndarray], float]:
-    """Adaptively extended q-iteration; returns values restricted to `grid`.
+):
+    """Adaptively extended q-iteration; yields (n, values on `grid`, collected).
 
-    The extent doubles until the final iterate's tail value drops below
-    eps_tail (or the full alpha**n expansion is reached), certifying the
-    flat tail extrapolation used beyond the working grid.
+    For each n of the increasing `levels`, the extents of `_extent_schedule`
+    are tried in order until the final iterate's tail value drops below
+    eps_tail (or the last extent is reached), certifying the flat tail
+    extrapolation used beyond the working grid.  Each extent keeps the last
+    level it reached and a later n continues from there: a level on an
+    extent depends only on the seed, the extent and the level, so resuming
+    gives a fresh run's values bit for bit.  Collected levels come from the
+    steps run for that n; the yielded values are a view that the next n
+    overwrites.
     """
     n_base = grid.node_count - 1
-    extents, _ = _extent_schedule(grid, alpha, n, expand_full)
     step = grid.step
-    for i, t_end in enumerate(extents):
-        work_nodes = _working_nodes(t_end, step, node_cap)
-        q, collected = _run_q_iteration(alpha, step, work_nodes, n, seed_eval, collect, n_base)
-        last = i == len(extents) - 1
-        if last or float(q[-1]) < eps_tail:
-            return q[: n_base + 1].copy(), collected, float(work_nodes[-1])
-    raise AssertionError("unreachable")
+    chains: dict[float, tuple[int, np.ndarray]] = {}  # extent -> (level, values)
+    last_n = 0
+    for n in levels:
+        if n <= last_n:
+            raise ValueError(f"levels must be increasing and >= 1, got {n} after {last_n}")
+        last_n = n
+        extents, _ = _extent_schedule(grid, alpha, n, expand_full)
+        for t_end in [t for t in chains if t not in extents]:
+            del chains[t_end]
+        for i, t_end in enumerate(extents):
+            j, kept = chains.get(t_end, (0, None))
+            q, collected = _run_q_iteration(
+                alpha, step, _working_nodes(t_end, step, node_cap), seed_eval, kept,
+                j + 1, n, collect, n_base,
+            )
+            if kept is None:
+                kept = q
+            else:  # one buffer per extent, so the kept levels do not fragment the heap
+                kept[...] = q
+            del q
+            chains[t_end] = (n, kept)
+            if i == len(extents) - 1 or float(kept[-1]) < eps_tail:
+                break
+        yield n, kept[: n_base + 1], collected
 
 
 def picard_v0(
@@ -332,7 +381,8 @@ def iterate_qn(
     """n steps of q_j = K(2 q_{j-1} - q_{j-1}^2) from q0, restricted to `grid`.
 
     q_j(0) = 0 exactly for j >= 1 and every iterate stays in [0, 1].  With
-    `collect`, the requested intermediate levels are returned as well.
+    `collect`, the requested intermediate levels are returned as well; they
+    come from the chain on the working-grid extent certified for `n`.
     Seeding from a supersolution (e.g. the constant 1) yields a pointwise
     nonincreasing sequence; seeding from a longest-path surrogate converges
     to the explosion probability but may locally increase in the far tail,
@@ -346,14 +396,37 @@ def iterate_qn(
     if n == 0:
         return q0 if not collect else (q0, {})
     seed_eval = _array_interp(q0.grid.nodes, q0.values, q0.tail_value)
-    vals, collected, _ = _adaptive_q_iteration(
-        alpha, grid, n, seed_eval, eps_tail, node_cap, expand_full, collect
+    _, vals, collected = next(
+        _adaptive_levels(alpha, grid, (n,), seed_eval, eps_tail, node_cap, expand_full, collect)
     )
     result = GridFunction(grid, vals, 0.0, range_bounds=True)
     if collect is None:
         return result
     levels = {j: GridFunction(grid, v, 0.0, range_bounds=True) for j, v in collected.items()}
     return result, levels
+
+
+def iterate_qn_levels(
+    alpha: float,
+    grid: UniformGrid,
+    q0: GridFunction,
+    levels: Iterable[int],
+    eps_tail: float = DEFAULT_EPS_TAIL,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> Iterator[tuple[int, GridFunction]]:
+    """(n, iterate_qn(alpha, grid, n, q0, eps_tail, node_cap)) for each n in `levels`.
+
+    `levels` must be increasing and >= 1.  Each working-grid extent resumes
+    its chain from the last level it reached, so every level is computed
+    once per extent and equals a fresh `iterate_qn` bit for bit.  Levels
+    after the last one consumed are never computed.
+    """
+    if alpha <= 0.0 or not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    _require_probability_values(q0, "q0")
+    seed_eval = _array_interp(q0.grid.nodes, q0.values, q0.tail_value)
+    chain = _adaptive_levels(alpha, grid, levels, seed_eval, eps_tail, node_cap)
+    return ((n, GridFunction(grid, vals, 0.0, range_bounds=True)) for n, vals, _ in chain)
 
 
 def iterate_vn(
@@ -383,7 +456,9 @@ def iterate_vn(
     def seed_eval(args: np.ndarray) -> np.ndarray:
         return 1.0 - np.interp(args, v0_nodes, v0_vals, right=v0_tail)
 
-    vals, _, _ = _adaptive_q_iteration(alpha, grid, n, seed_eval, eps_tail, node_cap, expand_full)
+    _, vals, _ = next(
+        _adaptive_levels(alpha, grid, (n,), seed_eval, eps_tail, node_cap, expand_full)
+    )
     return GridFunction(grid, 1.0 - vals, 1.0, range_bounds=True)
 
 

@@ -3,8 +3,9 @@
 import csv
 
 import numpy as np
+import pytest
 
-from riccati_cascade import cli
+from riccati_cascade import GridFunction, UniformGrid, cli, evaluate, iterate_qn, picard_v0
 from riccati_cascade.analysis_io import file_digest, load_manifest, verify_manifest
 from riccati_cascade.cascade_core import SamplerCapError
 from riccati_cascade.cli import main
@@ -12,6 +13,37 @@ from riccati_cascade.cli import main
 
 def run(tmp_path, *args):
     return main([*args, "--out", str(tmp_path)])
+
+
+def _reference_sweep_csv(alphas, t, step, max_n, gap_tol=1e-4, picard_k=5, eps_tail=1e-6):
+    """sweep.csv from the loop that restarted iterate_qn at every n, verbatim."""
+    grid = UniformGrid(8.0, step)
+    rows = []
+    for alpha in alphas:
+        if alpha <= 1.0:
+            q0 = GridFunction.constant(grid, 1.0)
+        else:
+            q0 = picard_v0(alpha, grid, picard_k, eps_tail).complement()
+        prev = None
+        q_cur = None
+        n_used = 0
+        sup_gap = float("inf")
+        for n in range(5, max_n + 1, 5):
+            q_cur = iterate_qn(alpha, grid, n, q0, eps_tail)
+            n_used = n
+            if prev is not None:
+                sup_gap = float(np.max(np.abs(q_cur.values - prev.values)))
+                if sup_gap < gap_tol:
+                    break
+            prev = q_cur
+        converged = sup_gap < gap_tol
+        boundary = abs(alpha - 1.0) <= 0.05 or abs(alpha - 2.0) <= 0.05
+        note = "slow-convergence" if (boundary or not converged) else ""
+        q_at_t = evaluate(q_cur, t)
+        rows.append((alpha, t, q_at_t, sup_gap, n_used, converged, note))
+    lines = ["alpha,t,q_estimate,sup_gap,n_iterations,converged,note"]
+    lines += [",".join(str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 class TestUsage:
@@ -152,6 +184,30 @@ class TestSweep:
 
     def test_bad_alpha_list(self, tmp_path):
         assert run(tmp_path, "sweep", "--alpha-list", "a,b", "--seed", "1") == 2
+
+    def test_csv_matches_restart_loop(self, tmp_path):
+        alphas = [0.66, 1.2, 1.5, 2.0, 2.5, 3.0]
+        assert run(tmp_path, "sweep", "--alpha-list", ",".join(map(str, alphas)),
+                   "--t", "4", "--step", "0.02", "--max-n", "40", "--seed", "13") == 0
+        out_dir = next((tmp_path / "sweep").iterdir())
+        expected = _reference_sweep_csv(alphas, 4.0, 0.02, 40)
+        assert (out_dir / "sweep.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("max_n", ["3", "0", "-5"])
+    def test_max_n_below_five_is_a_config_error(self, tmp_path, capsys, max_n):
+        assert run(tmp_path, "sweep", "--alpha-list", "1.5", "--max-n", max_n,
+                   "--seed", "1") == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "--max-n" in err and "\n" not in err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("gap_tol", ["0", "-1e-4", "nan", "inf"])
+    def test_gap_tol_must_be_finite_and_positive(self, tmp_path, capsys, gap_tol):
+        assert run(tmp_path, "sweep", "--alpha-list", "1.5", f"--gap-tol={gap_tol}",
+                   "--seed", "1") == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "--gap-tol" in err and "\n" not in err
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestCheckCommand:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from riccati_cascade import (
     GridFunction,
@@ -16,10 +17,13 @@ from riccati_cascade import (
     evaluate,
     integrate_tail,
     iterate_qn,
+    iterate_qn_levels,
     iterate_vn,
     picard_v0,
     riccati_residual,
 )
+from riccati_cascade import grid_numerics
+from riccati_cascade.grid_numerics import _advanced, _trapezoid_convolve
 
 GRID = UniformGrid(8.0, 0.01)
 
@@ -116,6 +120,15 @@ class TestConvolveKernel:
         with pytest.raises(ValueError):
             convolve_kernel(GridFunction.constant(GRID, 1.0), -1.0, GRID)
 
+    @pytest.mark.parametrize("step", [0.00025, 0.01, 0.05, 0.7])
+    def test_in_place_scan_matches_reference_expression(self, step):
+        rng = np.random.default_rng(17)
+        for size in (2, 3, 801, 32001):
+            phi = rng.random(size)
+            assert np.array_equal(
+                _trapezoid_convolve(phi.copy(), step), _reference_trapezoid_convolve(phi, step)
+            )
+
 
 class TestPicard:
     def test_k0_is_constant_one(self):
@@ -199,6 +212,15 @@ class TestIterateVn:
         assert 2.5 <= diffs[0] / diffs[1] <= 5.5
 
 
+def _reference_trapezoid_convolve(phi, step):
+    """The scan before it worked in place, verbatim."""
+    a = math.exp(-step)
+    b = np.empty_like(phi)
+    b[0] = 0.0
+    b[1:] = (step / 2.0) * (a * phi[:-1] + phi[1:])
+    return lfilter([1.0], [1.0, -a], b)
+
+
 class TestIterateQn:
     def test_supersolution_one_step_analytic(self):
         ones = GridFunction.constant(GRID, 1.0)
@@ -220,6 +242,25 @@ class TestIterateQn:
         q8, levels = iterate_qn(1.5, GRID, 8, q0, collect={2, 5, 8})
         assert set(levels) == {2, 5, 8}
         assert np.array_equal(levels[8].values, q8.values)
+
+    @pytest.mark.parametrize("alpha", [0.66, 1.0, 1.2, 2.5])
+    def test_blocked_interpolation_is_np_interp(self, alpha):
+        rng = np.random.default_rng(5)
+        for count in (2, 801, 16_384, 40_001):
+            nodes = np.arange(count) * 0.00025
+            q = rng.random(count)
+            expected = np.interp(alpha * nodes, nodes, q, right=0.0)
+            assert np.array_equal(_advanced(q, nodes, alpha), expected), count
+
+    def test_in_place_step_matches_reference_expression(self):
+        # alpha <= 1 runs one working grid, so this pins the step arithmetic
+        q = np.ones(GRID.node_count)
+        _, levels = iterate_qn(0.66, GRID, 6, GridFunction.constant(GRID, 1.0),
+                               collect=set(range(1, 7)))
+        for j in range(1, 7):
+            g = np.interp(0.66 * GRID.nodes, GRID.nodes, q, right=1.0 if j == 1 else 0.0)
+            q = np.clip(_reference_trapezoid_convolve(2.0 * g - g * g, GRID.step), 0.0, 1.0)
+            assert np.array_equal(levels[j].values, q), j
 
     def test_supersolution_chain_decreasing(self):
         q0 = GridFunction.constant(GRID, 1.0)
@@ -247,6 +288,96 @@ class TestIterateQn:
         bad = GridFunction(GRID, np.full(GRID.node_count, 1.2), 1.0)
         with pytest.raises(ValueError):
             iterate_qn(1.5, GRID, 2, bad)
+
+
+def _explosion_seed(alpha, grid):
+    if alpha <= 1.0:
+        return GridFunction.constant(grid, 1.0)
+    return picard_v0(alpha, grid, 5).complement()
+
+
+def _spy_steps(monkeypatch):
+    """Record (working nodes, first level, last level) of every run of the step loop."""
+    runs = []
+    real = grid_numerics._run_q_iteration
+
+    def spy(alpha, step, work_nodes, seed_eval, q, first, n, *rest):
+        runs.append((len(work_nodes), first, n))
+        return real(alpha, step, work_nodes, seed_eval, q, first, n, *rest)
+
+    monkeypatch.setattr(grid_numerics, "_run_q_iteration", spy)
+    return runs
+
+
+class TestIterateQnLevels:
+    LEVELS = range(5, 41, 5)
+
+    @pytest.mark.parametrize("alpha", [0.66, 1.2, 1.5, 2.5, 3.0])
+    def test_every_level_equals_a_fresh_chain(self, alpha, monkeypatch):
+        q0 = _explosion_seed(alpha, GRID)
+        runs = _spy_steps(monkeypatch)
+        results = list(iterate_qn_levels(alpha, GRID, q0, self.LEVELS))
+        steps = list(runs)
+        assert [n for n, _ in results] == list(self.LEVELS)
+        for n, q in results:  # held past the later levels, so none was overwritten
+            fresh = iterate_qn(alpha, GRID, n, q0)
+            assert np.array_equal(q.values, fresh.values), n
+            assert q.tail_value == fresh.tail_value
+        # each extent continues from the level it last reached: no level twice
+        reached = {}
+        for nodes, first, n in steps:
+            assert first == reached.get(nodes, 0) + 1
+            reached[nodes] = n
+        if alpha == 1.2:  # the n = 5 extent 8 * 1.2**5 is tried once, then dropped
+            assert [nodes for nodes, _, _ in steps].count(1992) == 1
+        if alpha == 2.5:  # 1601 nodes are needed up to n = 25, 801 suffice later
+            assert (1601, 21, 25) in steps and (801, 26, 30) in steps
+
+    def test_levels_need_not_start_at_five(self):
+        q0 = _explosion_seed(1.5, GRID)
+        levels = (1, 2, 7, 8, 20)
+        for n, q in iterate_qn_levels(1.5, GRID, q0, levels):
+            assert np.array_equal(q.values, iterate_qn(1.5, GRID, n, q0).values), n
+
+    def test_abandoned_generator_computes_no_later_level(self, monkeypatch):
+        q0 = _explosion_seed(1.5, GRID)
+        runs = _spy_steps(monkeypatch)
+        chain = iterate_qn_levels(1.5, GRID, q0, self.LEVELS)
+        (n5, q5), (n10, q10) = next(chain), next(chain)
+        chain.close()
+        assert (n5, n10) == (5, 10)
+        assert max(n for _, _, n in runs) == 10
+        assert np.array_equal(q10.values, iterate_qn(1.5, GRID, 10, q0).values)
+        again = dict(iterate_qn_levels(1.5, GRID, q0, (5, 10)))
+        assert np.array_equal(again[5].values, q5.values)
+
+    def test_node_cap_raises_at_the_same_level(self):
+        # at alpha = 1.2, n = 5 fits in 1992 nodes and n = 10 needs 3201
+        q0 = _explosion_seed(1.2, GRID)
+        cap = 2000
+        iterate_qn(1.2, GRID, 5, q0, node_cap=cap)
+        with pytest.raises(GridMemoryError):
+            iterate_qn(1.2, GRID, 10, q0, node_cap=cap)
+        chain = iterate_qn_levels(1.2, GRID, q0, self.LEVELS, node_cap=cap)
+        n, q = next(chain)
+        assert n == 5
+        assert np.array_equal(q.values, iterate_qn(1.2, GRID, 5, q0, node_cap=cap).values)
+        with pytest.raises(GridMemoryError):
+            next(chain)
+
+    def test_levels_must_increase(self):
+        q0 = _explosion_seed(1.5, GRID)
+        with pytest.raises(ValueError):
+            list(iterate_qn_levels(1.5, GRID, q0, (5, 5)))
+        with pytest.raises(ValueError):
+            list(iterate_qn_levels(1.5, GRID, q0, (0, 5)))
+
+    def test_rejects_bad_alpha_and_seed_at_call(self):
+        bad = GridFunction(GRID, np.full(GRID.node_count, 1.2), 1.0)
+        with pytest.raises(ValueError):
+            iterate_qn_levels(1.5, GRID, bad, self.LEVELS)
+        with pytest.raises(ValueError):
+            iterate_qn_levels(-1.0, GRID, GridFunction.constant(GRID, 1.0), self.LEVELS)
 
 
 class TestIdentity:
