@@ -13,18 +13,14 @@ from .cascade_core import (
     CascadeParams,
     ClockSource,
     LeafCensus,
-    LeafCountSample,
-    PathExtrema,
     SamplerCapError,
     TailFlags,
     crossing_horizon_cut,
     derive_stream,
     leaf_census,
     path_extrema_by_depth,
-    sample_path_extrema,
     sample_product_indicator,
     sample_tail_flags,
-    sample_truncated_leaf_count,
 )
 from .grid_numerics import (
     GridFunction,
@@ -32,7 +28,6 @@ from .grid_numerics import (
     ResidualReport,
     TailIntegral,
     UniformGrid,
-    check_identity_v_q,
     convolve_kernel,
     evaluate,
     integrate_tail,
@@ -59,24 +54,19 @@ __all__ = [
     "CascadeParams",
     "ClockSource",
     "LeafCensus",
-    "LeafCountSample",
-    "PathExtrema",
     "SamplerCapError",
     "TailFlags",
     "crossing_horizon_cut",
     "derive_stream",
     "leaf_census",
     "path_extrema_by_depth",
-    "sample_path_extrema",
     "sample_product_indicator",
     "sample_tail_flags",
-    "sample_truncated_leaf_count",
     "GridFunction",
     "GridMemoryError",
     "ResidualReport",
     "TailIntegral",
     "UniformGrid",
-    "check_identity_v_q",
     "convolve_kernel",
     "evaluate",
     "integrate_tail",

@@ -17,19 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid_numerics import GridFunction, UniformGrid, picard_v0
-from .monte_carlo import (
-    EstimatePoint,
-    EstimateSeries,
-    Histogram,
-    McConfig,
-    estimate_leaf_histogram,
-    estimate_v_curve,
-)
+from .grid_numerics import GridFunction, UniformGrid
+from .monte_carlo import EstimatePoint, EstimateSeries, Histogram
 
 __all__ = [
     "RunManifest",
-    "FIGURE_PRESETS",
     "write_series_csv",
     "read_series_csv",
     "write_histogram_csv",
@@ -40,10 +32,7 @@ __all__ = [
     "load_manifest",
     "verify_manifest",
     "file_digest",
-    "figure_bundle",
 ]
-
-FIGURE_PRESETS = {"fig1": 0.66, "fig2": 1.5, "fig3": 3.0}
 
 
 def _fmt(x: float) -> str:
@@ -58,25 +47,19 @@ def _open_for_write(path: Path):
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def write_series_csv(series: EstimateSeries | GridFunction, path) -> Path:
-    """Write `t,mean,stderr,n_samples` rows; deterministic curves leave the
-    stderr and n_samples columns empty."""
+def write_series_csv(series: EstimateSeries, path) -> Path:
+    """Write one `t,mean,stderr,n_samples` row per point."""
     path = Path(path)
     with _open_for_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "mean", "stderr", "n_samples"])
-        if isinstance(series, GridFunction):
-            for t, v in zip(series.grid.nodes, series.values):
-                writer.writerow([_fmt(t), _fmt(v), "", ""])
-        else:
-            for p in series.points:
-                writer.writerow([_fmt(p.t), _fmt(p.mean), _fmt(p.stderr), p.n_samples])
+        for p in series.points:
+            writer.writerow([_fmt(p.t), _fmt(p.mean), _fmt(p.stderr), p.n_samples])
     return path
 
 
 def read_series_csv(path) -> EstimateSeries:
-    """Read a series CSV back; deterministic rows come back with stderr 0 and
-    n_samples 0."""
+    """Read a series CSV back exactly."""
     path = Path(path)
     points = []
     with path.open(newline="") as fh:
@@ -85,10 +68,7 @@ def read_series_csv(path) -> EstimateSeries:
         if header != ["t", "mean", "stderr", "n_samples"]:
             raise ValueError(f"unexpected series header in {path}: {header}")
         for row in reader:
-            t, mean = float(row[0]), float(row[1])
-            stderr = float(row[2]) if row[2] else 0.0
-            n = int(row[3]) if row[3] else 0
-            points.append(EstimatePoint(t, mean, stderr, n))
+            points.append(EstimatePoint(float(row[0]), float(row[1]), float(row[2]), int(row[3])))
     return EstimateSeries(tuple(points))
 
 
@@ -258,56 +238,3 @@ def verify_manifest(path) -> list[str]:
         elif file_digest(target) != digest:
             problems.append(f"digest mismatch for {name}")
     return problems
-
-
-def figure_bundle(
-    preset: str,
-    out_dir,
-    seed: int,
-    alpha: float | None = None,
-    t: float = 2.0,
-    t_max: float = 8.0,
-    step: float = 0.01,
-    depth: int = 10,
-    picard_k: int = 5,
-    samples: int = 10000,
-    eps_tail: float = 1e-6,
-    workers: int = 1,
-    mc_t_step: float = 0.5,
-) -> dict[str, Path]:
-    """Emit the histogram, Monte Carlo curve, Picard seed, and manifest for
-    one preset (fig1/fig2/fig3 encode the three reference branching rates)."""
-    if preset not in FIGURE_PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; choose from {sorted(FIGURE_PRESETS)}")
-    alpha = FIGURE_PRESETS[preset] if alpha is None else float(alpha)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    grid = UniformGrid(t_max, step)
-    cfg = McConfig(seed=seed, samples=samples, depth=depth, workers=workers)
-
-    hist = estimate_leaf_histogram(alpha, t, depth, cfg)
-    v0 = picard_v0(alpha, grid, picard_k, eps_tail)
-    t_points = np.arange(0.0, t_max + mc_t_step / 2.0, mc_t_step)
-    curve = estimate_v_curve(alpha, t_points, depth, v0, cfg)
-
-    paths = {
-        "histogram": write_histogram_csv(hist, out_dir / "histogram.csv"),
-        "vcurve": write_series_csv(curve, out_dir / "vcurve_mc.csv"),
-        "v0": write_grid_function(v0, out_dir / "v0_picard.csv"),
-    }
-    manifest = RunManifest.create(
-        command=f"figures --preset {preset}",
-        alpha=alpha,
-        t_max=t_max,
-        step=step,
-        eps_tail=eps_tail,
-        depth=depth,
-        picard_k=picard_k,
-        samples=samples,
-        seed=seed,
-    )
-    tracked = [paths["histogram"], paths["vcurve"], paths["v0"],
-               paths["v0"].with_name(paths["v0"].name + ".meta.json")]
-    manifest = manifest.with_outputs(tracked)
-    paths["manifest"] = write_manifest(manifest, out_dir / "manifest.json")
-    return paths

@@ -23,14 +23,10 @@ __all__ = [
     "CascadeParams",
     "ClockSource",
     "SamplerCapError",
-    "PathExtrema",
-    "LeafCountSample",
     "LeafCensus",
     "TailFlags",
     "derive_stream",
     "leaf_census",
-    "sample_truncated_leaf_count",
-    "sample_path_extrema",
     "path_extrema_by_depth",
     "sample_product_indicator",
     "sample_tail_flags",
@@ -90,27 +86,6 @@ class ClockSource:
 
 
 @dataclass(frozen=True)
-class PathExtrema:
-    """Min and max cumulative path time over all paths of the given depth."""
-
-    s_partial: float
-    l_partial: float
-    depth: int
-
-    def __post_init__(self) -> None:
-        if self.s_partial > self.l_partial:
-            raise ValueError("s_partial must not exceed l_partial")
-
-
-@dataclass(frozen=True)
-class LeafCountSample:
-    """Truncated leaf count; `truncated` marks paths still alive at the depth cap."""
-
-    count: int
-    truncated: bool
-
-
-@dataclass(frozen=True)
 class TailFlags:
     """Joint indicators for one tree: min path sum > t, max path sum > t."""
 
@@ -146,10 +121,6 @@ class LeafCensus:
         if not 0 <= n <= self.depth:
             raise ValueError(f"threshold {n} outside censused range 0..{self.depth}")
         return bool(self.alive_by_depth[n] > 0)
-
-    def survives_to(self, n: int) -> bool:
-        """True iff some path's cumulative time through depth n is <= t."""
-        return self.truncated_at(n)
 
     def crosses_by(self, n: int) -> bool:
         """True iff some path crossed the horizon at generation <= n."""
@@ -223,22 +194,6 @@ def leaf_census(
     return LeafCensus(t, depth, leaves, alive)
 
 
-def sample_truncated_leaf_count(
-    params: CascadeParams,
-    t: float,
-    depth: int,
-    clocks: ClockSource,
-    stream: np.random.Generator,
-) -> LeafCountSample:
-    """Number of t-leaves of depth <= `depth` in one sampled tree.
-
-    The count never exceeds 2**depth.  When `truncated` is set, paths were
-    still alive at the depth cap and the untruncated count would be larger.
-    """
-    census = leaf_census(params, t, depth, clocks, stream)
-    return LeafCountSample(census.count_up_to(depth), census.truncated_at(depth))
-
-
 def path_extrema_by_depth(
     params: CascadeParams,
     depth: int,
@@ -270,17 +225,6 @@ def path_extrema_by_depth(
         s[d] = sums.min()
         l[d] = sums.max()
     return s, l
-
-
-def sample_path_extrema(
-    params: CascadeParams,
-    depth: int,
-    clocks: ClockSource,
-    stream: np.random.Generator,
-) -> PathExtrema:
-    """Exact min/max cumulative path time over all paths of the given depth."""
-    s, l = path_extrema_by_depth(params, depth, clocks, stream)
-    return PathExtrema(float(s[depth]), float(l[depth]), depth)
 
 
 def sample_product_indicator(

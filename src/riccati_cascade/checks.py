@@ -296,7 +296,7 @@ def check_tail_domination(alpha: float, seed: int, samples: int) -> CheckResult:
     mono_bad = 0
     for i in range(min(samples, 300)):
         census = leaf_census(params, 2.0, 12, clocks, derive_stream(params, i))
-        s_flags = [not census.survives_to(d) for d in range(13)]
+        s_flags = [not census.truncated_at(d) for d in range(13)]
         l_flags = [census.crosses_by(d) for d in range(13)]
         if any(b < a for a, b in zip(s_flags, s_flags[1:])):
             mono_bad += 1

@@ -19,9 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analysis_io import (
-    FIGURE_PRESETS,
     RunManifest,
-    figure_bundle,
     write_grid_function,
     write_histogram_csv,
     write_manifest,
@@ -48,6 +46,9 @@ from .monte_carlo import (
 )
 
 _ENV_PREFIX = "RICCATI_"
+
+# the branching scale of each `figures` preset
+FIGURE_PRESETS = {"fig1": 0.66, "fig2": 1.5, "fig3": 3.0}
 
 
 def _env_default(name: str, cast, fallback):
@@ -115,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", parents=[common], help="figure-ready data bundle")
     p.add_argument("--preset", required=True, choices=sorted(FIGURE_PRESETS),
-                   help="fig1 (alpha=0.66), fig2 (alpha=1.5), fig3 (alpha=3)")
+                   help="sets alpha, overriding --alpha: fig1 (0.66), fig2 (1.5), fig3 (3)")
 
     p = sub.add_parser("sweep", parents=[common],
                        help="stabilized explosion probability across branching scales")
@@ -160,9 +161,15 @@ def _finalize(manifest: RunManifest, out_dir: Path, files: list[Path]) -> Path:
 
 
 def _out_dir(args, command: str, manifest: RunManifest) -> Path:
-    out = Path(args.out) / command / manifest.config_digest()
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """`<out>/<command>/<config digest>`; the first file written creates it."""
+    return Path(args.out) / command / manifest.config_digest()
+
+
+def _t_points(t_max: float, t_step: float) -> np.ndarray:
+    """0, t_step, ..., up to t_max."""
+    if not (math.isfinite(t_step) and t_step > 0.0):
+        raise ValueError(f"--t-step must be finite and > 0, got {t_step}")
+    return np.arange(0.0, t_max + t_step / 2.0, t_step)
 
 
 def _explosion_seed(args, alpha: float, grid: UniformGrid) -> GridFunction:
@@ -191,10 +198,10 @@ def _cmd_vcurve(args) -> int:
     seed = _resolve_seed(args)
     manifest = _manifest_for(args, "vcurve", seed, {"t-step": args.t_step})
     out = _out_dir(args, "vcurve", manifest)
+    t_points = _t_points(args.t_max, args.t_step)
     grid = UniformGrid(args.t_max, args.step)
     v0 = picard_v0(args.alpha, grid, args.picard_k, args.eps_tail)
     cfg = McConfig(seed=seed, samples=args.samples, depth=args.depth, workers=args.workers)
-    t_points = np.arange(0.0, args.t_max + args.t_step / 2.0, args.t_step)
     series = estimate_v_curve(args.alpha, t_points, args.depth, v0, cfg)
     files = [
         write_series_csv(series, out / "vcurve_mc.csv"),
@@ -247,7 +254,7 @@ def _cmd_paths(args) -> int:
     manifest = _manifest_for(args, "paths", seed, {"t-step": args.t_step})
     out = _out_dir(args, "paths", manifest)
     cfg = McConfig(seed=seed, samples=args.samples, depth=args.depth, workers=args.workers)
-    t_points = np.arange(0.0, args.t_max + args.t_step / 2.0, args.t_step)
+    t_points = _t_points(args.t_max, args.t_step)
     s_series, l_series = estimate_path_tails(args.alpha, t_points, args.depth, cfg)
     files = [
         write_series_csv(s_series, out / "s_tail.csv"),
@@ -294,6 +301,7 @@ def _cmd_check(args) -> int:
         print(line)
         lines.append(line)
     report = out / "check_report.txt"
+    out.mkdir(parents=True, exist_ok=True)
     report.write_text("\n".join(lines) + "\n")
     _finalize(manifest, out, [report])
     failed = sum(not r.passed for r in results)
@@ -305,24 +313,26 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    """The `hist` output at t = 2 and the `vcurve` outputs at t-step 0.5, at
+    the preset's alpha."""
+    args.alpha = FIGURE_PRESETS[args.preset]
     seed = _resolve_seed(args)
     manifest = _manifest_for(args, "figures", seed, {"preset": args.preset})
     out = _out_dir(args, "figures", manifest)
-    paths = figure_bundle(
-        args.preset,
-        out,
-        seed,
-        t_max=args.t_max,
-        step=args.step,
-        depth=args.depth,
-        picard_k=args.picard_k,
-        samples=args.samples,
-        eps_tail=args.eps_tail,
-        workers=args.workers,
-    )
-    print(f"bundle {args.preset} (alpha={FIGURE_PRESETS[args.preset]}) written to {out}")
-    for name, path in sorted(paths.items()):
-        print(f"  {name}: {path.name}")
+    grid = UniformGrid(args.t_max, args.step)
+    cfg = McConfig(seed=seed, samples=args.samples, depth=args.depth, workers=args.workers)
+    hist = estimate_leaf_histogram(args.alpha, 2.0, args.depth, cfg)
+    v0 = picard_v0(args.alpha, grid, args.picard_k, args.eps_tail)
+    curve = estimate_v_curve(args.alpha, _t_points(args.t_max, 0.5), args.depth, v0, cfg)
+    files = [
+        write_histogram_csv(hist, out / "histogram.csv"),
+        write_series_csv(curve, out / "vcurve_mc.csv"),
+        write_grid_function(v0, out / "v0_picard.csv"),
+    ]
+    files.append(files[-1].with_name(files[-1].name + ".meta.json"))
+    print(f"figures {args.preset} at alpha={args.alpha}: leaf-count mean {hist.mean():.3f}, "
+          f"{len(curve.points)} v-curve points")
+    _finalize(manifest, out, files)
     return 0
 
 
@@ -334,6 +344,11 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"invalid --alpha-list {args.alpha_list!r}") from None
     if not alphas:
         raise ValueError("empty --alpha-list")
+    for alpha in alphas:
+        if not (math.isfinite(alpha) and alpha > 0.0):
+            raise ValueError(f"alpha must be finite and > 0, got {alpha} in --alpha-list")
+    if not (math.isfinite(args.t) and args.t >= 0.0):
+        raise ValueError(f"--t must be finite and >= 0, got {args.t}")
     if args.max_n < 5:
         raise ValueError(f"--max-n must be >= 5, got {args.max_n}")
     if not (math.isfinite(args.gap_tol) and args.gap_tol > 0.0):
@@ -366,6 +381,7 @@ def _cmd_sweep(args) -> int:
             f"(sup gap {sup_gap:.2e} after n={n_used}{', ' + note if note else ''})"
         )
     sweep_path = out / "sweep.csv"
+    out.mkdir(parents=True, exist_ok=True)
     with sweep_path.open("w", newline="") as fh:
         fh.write("alpha,t,q_estimate,sup_gap,n_iterations,converged,note\n")
         for row in rows:

@@ -52,7 +52,6 @@ __all__ = [
     "iterate_qn_levels",
     "riccati_residual",
     "integrate_tail",
-    "check_identity_v_q",
     "DEFAULT_EPS_TAIL",
     "DEFAULT_NODE_CAP",
 ]
@@ -460,29 +459,6 @@ def iterate_vn(
         _adaptive_levels(alpha, grid, (n,), seed_eval, eps_tail, node_cap, expand_full)
     )
     return GridFunction(grid, 1.0 - vals, 1.0, range_bounds=True)
-
-
-def check_identity_v_q(
-    alpha: float,
-    grid: UniformGrid,
-    n: int,
-    picard_k: int = 5,
-    eps_tail: float = DEFAULT_EPS_TAIL,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> float:
-    """Max node deviation between the v-iteration and 1 - (q-iteration).
-
-    Both sides start from the same Picard seed (v0 = U_k, q0 = 1 - U_k);
-    the recursions are algebraically identical under v = 1 - q, so the
-    deviation is bounded by quadrature-level noise.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    v0 = picard_v0(alpha, grid, picard_k, eps_tail, node_cap)
-    q0 = v0.complement()
-    vn = iterate_vn(alpha, grid, n, v0, eps_tail, node_cap)
-    qn = iterate_qn(alpha, grid, n, q0, eps_tail, node_cap)
-    return float(np.max(np.abs(vn.values - (1.0 - qn.values))))
 
 
 @dataclass(frozen=True)

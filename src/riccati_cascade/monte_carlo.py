@@ -15,7 +15,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -294,7 +294,6 @@ class ComparisonReport:
     z_threshold: float
     min_fraction: float
     passed: bool
-    quantiles: dict[str, float] = field(default_factory=dict)
 
 
 def compare_series(
@@ -321,11 +320,6 @@ def compare_series(
         ts.append(p.t)
         zs.append(z)
     abs_z = np.abs(np.array(zs))
-    finite = abs_z[np.isfinite(abs_z)]
-    quantiles = {
-        "p50": float(np.quantile(finite, 0.5)) if finite.size else math.inf,
-        "p90": float(np.quantile(finite, 0.9)) if finite.size else math.inf,
-    }
     fraction = float(np.mean(abs_z <= z_threshold))
     return ComparisonReport(
         ts=tuple(ts),
@@ -336,5 +330,4 @@ def compare_series(
         z_threshold=z_threshold,
         min_fraction=min_fraction,
         passed=fraction >= min_fraction,
-        quantiles=quantiles,
     )

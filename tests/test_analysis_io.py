@@ -1,4 +1,4 @@
-"""Serialization round-trips, canonical manifests, and the figure bundle."""
+"""Serialization round-trips and canonical manifests."""
 
 import json
 
@@ -15,9 +15,7 @@ from riccati_cascade import (
     picard_v0,
 )
 from riccati_cascade.analysis_io import (
-    FIGURE_PRESETS,
     RunManifest,
-    figure_bundle,
     file_digest,
     load_manifest,
     read_grid_function,
@@ -49,15 +47,6 @@ class TestSeriesCsv:
         path = write_series_csv(EstimateSeries(()), tmp_path / "empty.csv")
         assert path.read_text() == "t,mean,stderr,n_samples\n"
         assert read_series_csv(path) == EstimateSeries(())
-
-    def test_grid_function_rows_leave_mc_columns_empty(self, tmp_path):
-        v0 = picard_v0(1.5, GRID, 2)
-        path = write_series_csv(v0, tmp_path / "curve.csv")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,mean,stderr,n_samples"
-        assert lines[1].endswith(",,")
-        back = read_series_csv(path)
-        assert np.array_equal(back.means(), v0.values)
 
     def test_io_error_carries_path(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -140,25 +129,3 @@ class TestManifest:
         p1 = write_manifest(manifest, tmp_path / "m1.json")
         p2 = write_manifest(manifest, tmp_path / "m2.json")
         assert file_digest(p1) == file_digest(p2)
-
-
-class TestFigureBundle:
-    def test_bundle_contents_and_verification(self, tmp_path):
-        paths = figure_bundle("fig2", tmp_path, seed=99, samples=60, depth=6,
-                              t_max=4.0, step=0.05, picard_k=3, mc_t_step=2.0)
-        assert sorted(paths) == ["histogram", "manifest", "v0", "vcurve"]
-        assert verify_manifest(paths["manifest"]) == []
-        manifest = load_manifest(paths["manifest"])
-        assert manifest.alpha == FIGURE_PRESETS["fig2"] == 1.5
-
-    def test_rerun_reproduces_data_files(self, tmp_path):
-        kwargs = dict(seed=99, samples=60, depth=6, t_max=4.0, step=0.05,
-                      picard_k=3, mc_t_step=2.0)
-        first = figure_bundle("fig1", tmp_path / "a", **kwargs)
-        second = figure_bundle("fig1", tmp_path / "b", **kwargs)
-        for name in ("histogram", "vcurve", "v0"):
-            assert file_digest(first[name]) == file_digest(second[name])
-
-    def test_unknown_preset(self, tmp_path):
-        with pytest.raises(ValueError):
-            figure_bundle("fig9", tmp_path, seed=1)

@@ -1,0 +1,63 @@
+"""The public API: the names the package exports, and that every export resolves."""
+
+import importlib
+
+import pytest
+
+import riccati_cascade
+
+PUBLIC_NAMES = {
+    # cascade_core
+    "CascadeParams",
+    "ClockSource",
+    "LeafCensus",
+    "SamplerCapError",
+    "TailFlags",
+    "crossing_horizon_cut",
+    "derive_stream",
+    "leaf_census",
+    "path_extrema_by_depth",
+    "sample_product_indicator",
+    "sample_tail_flags",
+    # grid_numerics
+    "GridFunction",
+    "GridMemoryError",
+    "ResidualReport",
+    "TailIntegral",
+    "UniformGrid",
+    "convolve_kernel",
+    "evaluate",
+    "integrate_tail",
+    "iterate_qn",
+    "iterate_qn_levels",
+    "iterate_vn",
+    "picard_v0",
+    "riccati_residual",
+    # monte_carlo
+    "ComparisonReport",
+    "EstimatePoint",
+    "EstimateSeries",
+    "Histogram",
+    "McConfig",
+    "compare_series",
+    "estimate_leaf_histogram",
+    "estimate_path_tails",
+    "estimate_v_curve",
+}
+
+
+def test_package_exports_exactly_the_public_names():
+    assert len(PUBLIC_NAMES) == 33
+    assert sorted(riccati_cascade.__all__) == sorted(PUBLIC_NAMES | {"__version__"})
+    assert len(riccati_cascade.__all__) == len(set(riccati_cascade.__all__))
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["__init__", "cascade_core", "grid_numerics", "monte_carlo", "analysis_io", "checks"],
+)
+def test_every_export_resolves(module):
+    name = "riccati_cascade" if module == "__init__" else f"riccati_cascade.{module}"
+    mod = importlib.import_module(name)
+    missing = [attr for attr in mod.__all__ if not hasattr(mod, attr)]
+    assert missing == []

@@ -16,10 +16,8 @@ from riccati_cascade import (
     derive_stream,
     leaf_census,
     path_extrema_by_depth,
-    sample_path_extrema,
     sample_product_indicator,
     sample_tail_flags,
-    sample_truncated_leaf_count,
 )
 
 EXP = ClockSource.exponential()
@@ -142,8 +140,8 @@ class TestLeafCount:
         # the horizon-0 tree is just the root; no clock is consumed
         p = params(1.5, seed=3)
         stream = derive_stream(p, 0)
-        sample = sample_truncated_leaf_count(p, 0.0, 10, EXP, stream)
-        assert sample == (type(sample))(count=1, truncated=False)
+        census = leaf_census(p, 0.0, 10, EXP, stream)
+        assert (census.count_up_to(10), census.truncated_at(10)) == (1, False)
         untouched = derive_stream(p, 0).standard_exponential(1)
         assert stream.standard_exponential(1)[0] == untouched[0]
 
@@ -153,10 +151,7 @@ class TestLeafCount:
         p = params(0.0, seed=21)
         n = 10_000
         counts = np.array(
-            [
-                sample_truncated_leaf_count(p, 2.0, 10, EXP, derive_stream(p, i)).count
-                for i in range(n)
-            ]
+            [leaf_census(p, 2.0, 10, EXP, derive_stream(p, i)).count_up_to(10) for i in range(n)]
         )
         assert set(np.unique(counts)) <= {1, 2}
         p2 = 1.0 - math.exp(-2.0)
@@ -166,23 +161,23 @@ class TestLeafCount:
     def test_constant_clock_enumeration(self):
         # alpha=1.5, t=2, unit clocks: every path crosses at generation 2
         p = params(1.5, seed=5)
-        sample = sample_truncated_leaf_count(p, 2.0, 10, ClockSource.constant(1.0), derive_stream(p, 0))
-        assert sample.count == 4
-        assert not sample.truncated
+        census = leaf_census(p, 2.0, 10, ClockSource.constant(1.0), derive_stream(p, 0))
+        assert census.count_up_to(10) == 4
+        assert not census.truncated_at(10)
 
     def test_depth_zero_base_case(self):
         # unit clock vs horizon 2: the root survives, so the count is 0 and truncated
         p = params(1.5, seed=5)
-        sample = sample_truncated_leaf_count(p, 2.0, 0, ClockSource.constant(1.0), derive_stream(p, 0))
-        assert sample.count == 0
-        assert sample.truncated
+        census = leaf_census(p, 2.0, 0, ClockSource.constant(1.0), derive_stream(p, 0))
+        assert census.count_up_to(0) == 0
+        assert census.truncated_at(0)
 
     def test_rejects_negative_horizon_and_huge_depth(self):
         p = params(1.0)
         with pytest.raises(ValueError):
-            sample_truncated_leaf_count(p, -1.0, 5, EXP, derive_stream(p, 0))
+            leaf_census(p, -1.0, 5, EXP, derive_stream(p, 0))
         with pytest.raises(ValueError):
-            sample_truncated_leaf_count(p, 1.0, 63, EXP, derive_stream(p, 0))
+            leaf_census(p, 1.0, 63, EXP, derive_stream(p, 0))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -193,12 +188,13 @@ class TestLeafCount:
     )
     def test_count_bounds(self, alpha, t, depth, idx):
         p = params(alpha, seed=99)
-        sample = sample_truncated_leaf_count(p, t, depth, EXP, derive_stream(p, idx))
-        assert 0 <= sample.count <= 2**depth
-        if not sample.truncated:
-            assert sample.count >= 1
+        census = leaf_census(p, t, depth, EXP, derive_stream(p, idx))
+        count, truncated = census.count_up_to(depth), census.truncated_at(depth)
+        assert 0 <= count <= 2**depth
+        if not truncated:
+            assert count >= 1
         if t == 0.0:
-            assert sample.count == 1 and not sample.truncated
+            assert count == 1 and not truncated
 
     def test_census_coupled_monotone(self):
         p = params(1.5, seed=31)
@@ -211,9 +207,9 @@ class TestLeafCount:
 
     def test_determinism(self):
         p = params(1.5, seed=8)
-        a = sample_truncated_leaf_count(p, 2.0, 10, EXP, derive_stream(p, 4))
-        b = sample_truncated_leaf_count(p, 2.0, 10, EXP, derive_stream(p, 4))
-        assert a == b
+        a = leaf_census(p, 2.0, 10, EXP, derive_stream(p, 4))
+        b = leaf_census(p, 2.0, 10, EXP, derive_stream(p, 4))
+        assert (a.count_up_to(10), a.truncated_at(10)) == (b.count_up_to(10), b.truncated_at(10))
 
     def test_frontier_cap_guards_runaway_trees(self):
         # strong hyperexplosion at a long horizon keeps nearly every vertex
@@ -228,15 +224,15 @@ class TestPathExtrema:
         p = params(1.5, seed=13)
         stream = derive_stream(p, 0)
         root_clock = derive_stream(p, 0).standard_exponential(1)[0]
-        pe = sample_path_extrema(p, 0, EXP, stream)
-        assert pe.s_partial == pe.l_partial == pytest.approx(root_clock)
+        s, l = path_extrema_by_depth(p, 0, EXP, stream)
+        assert s[0] == l[0] == pytest.approx(root_clock)
 
     def test_constant_clock_geometric_sum(self):
         # unit clocks, alpha=2: every path sums 1 + 1/2 + 1/4
         p = params(2.0, seed=13)
-        pe = sample_path_extrema(p, 2, ClockSource.constant(1.0), derive_stream(p, 0))
-        assert pe.s_partial == pytest.approx(1.75)
-        assert pe.l_partial == pytest.approx(1.75)
+        s, l = path_extrema_by_depth(p, 2, ClockSource.constant(1.0), derive_stream(p, 0))
+        assert s[2] == pytest.approx(1.75)
+        assert l[2] == pytest.approx(1.75)
 
     def test_matches_pathwise_enumeration(self):
         # independent oracle: walk every root-to-leaf path over the recorded
@@ -265,12 +261,12 @@ class TestPathExtrema:
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
-            sample_path_extrema(params(0.0), 3, EXP, derive_stream(params(0.0), 0))
+            path_extrema_by_depth(params(0.0), 3, EXP, derive_stream(params(0.0), 0))
 
     def test_depth_cap_rejected(self):
         p = params(1.5)
         with pytest.raises(ValueError):
-            sample_path_extrema(p, 30, EXP, derive_stream(p, 0))
+            path_extrema_by_depth(p, 30, EXP, derive_stream(p, 0))
 
 
 class TestProductIndicator:
@@ -353,7 +349,7 @@ class TestTailFlags:
         p = params(1.5, seed=53)
         n = 4000
         census_freq = np.mean(
-            [leaf_census(p, 2.0, 6, EXP, derive_stream(p, i)).survives_to(6) for i in range(n)]
+            [leaf_census(p, 2.0, 6, EXP, derive_stream(p, i)).truncated_at(6) for i in range(n)]
         )
         flag_freq = np.mean(
             [

@@ -1,14 +1,35 @@
 """End-to-end CLI behaviour: exit codes, file outputs, reproducibility, sweep."""
 
 import csv
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from riccati_cascade import GridFunction, UniformGrid, cli, evaluate, iterate_qn, picard_v0
-from riccati_cascade.analysis_io import file_digest, load_manifest, verify_manifest
+from riccati_cascade import (
+    GridFunction,
+    McConfig,
+    UniformGrid,
+    cli,
+    estimate_leaf_histogram,
+    estimate_v_curve,
+    evaluate,
+    iterate_qn,
+    picard_v0,
+)
+from riccati_cascade.analysis_io import (
+    RunManifest,
+    file_digest,
+    load_manifest,
+    verify_manifest,
+    write_grid_function,
+    write_histogram_csv,
+    write_manifest,
+    write_series_csv,
+)
 from riccati_cascade.cascade_core import SamplerCapError
-from riccati_cascade.cli import main
+from riccati_cascade.cli import FIGURE_PRESETS, main
 
 
 def run(tmp_path, *args):
@@ -46,6 +67,58 @@ def _reference_sweep_csv(alphas, t, step, max_n, gap_tol=1e-4, picard_k=5, eps_t
     return "\n".join(lines) + "\n"
 
 
+def _reference_figure_bundle(
+    preset: str,
+    out_dir,
+    seed: int,
+    alpha: float | None = None,
+    t: float = 2.0,
+    t_max: float = 8.0,
+    step: float = 0.01,
+    depth: int = 10,
+    picard_k: int = 5,
+    samples: int = 10000,
+    eps_tail: float = 1e-6,
+    workers: int = 1,
+    mc_t_step: float = 0.5,
+) -> dict[str, Path]:
+    """The figure bundle that the I/O layer used to write for `figures`, verbatim."""
+    if preset not in FIGURE_PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; choose from {sorted(FIGURE_PRESETS)}")
+    alpha = FIGURE_PRESETS[preset] if alpha is None else float(alpha)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    grid = UniformGrid(t_max, step)
+    cfg = McConfig(seed=seed, samples=samples, depth=depth, workers=workers)
+
+    hist = estimate_leaf_histogram(alpha, t, depth, cfg)
+    v0 = picard_v0(alpha, grid, picard_k, eps_tail)
+    t_points = np.arange(0.0, t_max + mc_t_step / 2.0, mc_t_step)
+    curve = estimate_v_curve(alpha, t_points, depth, v0, cfg)
+
+    paths = {
+        "histogram": write_histogram_csv(hist, out_dir / "histogram.csv"),
+        "vcurve": write_series_csv(curve, out_dir / "vcurve_mc.csv"),
+        "v0": write_grid_function(v0, out_dir / "v0_picard.csv"),
+    }
+    manifest = RunManifest.create(
+        command=f"figures --preset {preset}",
+        alpha=alpha,
+        t_max=t_max,
+        step=step,
+        eps_tail=eps_tail,
+        depth=depth,
+        picard_k=picard_k,
+        samples=samples,
+        seed=seed,
+    )
+    tracked = [paths["histogram"], paths["vcurve"], paths["v0"],
+               paths["v0"].with_name(paths["v0"].name + ".meta.json")]
+    manifest = manifest.with_outputs(tracked)
+    paths["manifest"] = write_manifest(manifest, out_dir / "manifest.json")
+    return paths
+
+
 class TestUsage:
     def test_no_subcommand_is_usage_error(self, tmp_path):
         assert run(tmp_path) == 2
@@ -58,6 +131,21 @@ class TestUsage:
 
     def test_invalid_parameter_value(self, tmp_path):
         assert run(tmp_path, "hist", "--alpha", "-3", "--seed", "1", "--samples", "10") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("vcurve", "--t-step", "0"),
+        ("vcurve", "--t-step", "nan"),
+        ("paths", "--t-step", "-1"),
+        ("sweep", "--alpha-list", "1.5", "--t", "nan"),
+        ("sweep", "--alpha-list=-1,1.5"),
+        ("hist", "--samples", "0"),
+        ("qn", "--depth", "-1"),
+    ], ids=" ".join)
+    def test_bad_value_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv, "--seed", "1") == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err
+        assert not (tmp_path / argv[0]).exists()
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
@@ -126,6 +214,35 @@ class TestSubcommands:
         manifest = load_manifest(out_dir / "manifest.json")
         assert manifest.alpha == 1.5
         assert verify_manifest(out_dir / "manifest.json") == []
+
+
+class TestFigures:
+    SMALL = ("--seed", "99", "--samples", "60", "--depth", "6", "--t-max", "4",
+             "--step", "0.05", "--picard-k", "3")
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig2"])
+    def test_matches_reference_bundle(self, tmp_path, preset):
+        assert run(tmp_path / "cli", "figures", "--preset", preset, *self.SMALL) == 0
+        (out_dir,) = (tmp_path / "cli" / "figures").iterdir()
+        ref = _reference_figure_bundle(preset, tmp_path / "ref", seed=99, samples=60, depth=6,
+                                       t_max=4.0, step=0.05, picard_k=3)
+        names = ["histogram.csv", "vcurve_mc.csv", "v0_picard.csv", "v0_picard.csv.meta.json"]
+        for name in names:
+            assert (out_dir / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+        got = asdict(load_manifest(out_dir / "manifest.json"))
+        want = asdict(load_manifest(ref["manifest"]))
+        got.pop("timestamp"), want.pop("timestamp")
+        assert got == want
+        assert sorted(got["outputs"]) == sorted(names)
+
+    def test_alpha_flag_does_not_move_the_directory(self, tmp_path):
+        assert run(tmp_path, "figures", "--preset", "fig2", *self.SMALL) == 0
+        assert run(tmp_path, "figures", "--preset", "fig2", "--alpha", "3", *self.SMALL) == 0
+        assert len(list((tmp_path / "figures").iterdir())) == 1
+
+    def test_unknown_preset(self, tmp_path):
+        assert run(tmp_path, "figures", "--preset", "fig9", "--seed", "1") == 2
+        assert not (tmp_path / "figures").exists()
 
 
 class TestEnvOverrides:
