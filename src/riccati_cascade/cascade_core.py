@@ -4,7 +4,9 @@ The cascade is the random binary tree in which the edge below a depth-j
 vertex carries an independent clock scaled by alpha**-j.  A vertex whose
 cumulative path time first exceeds the horizon t is a "t-leaf"; the tree
 is never materialized, only the alive region (vertices whose cumulative
-time stays <= t) is traversed, one level at a time.
+time stays <= t) is traversed, one level at a time.  The census and the
+product recursion move a batch of trees down together, each tree drawing
+its clocks from its own stream exactly as it would alone.
 
 All samplers are pure functions of (params, inputs, stream state).  Use
 :func:`derive_stream` to obtain independent substreams that depend only on
@@ -153,6 +155,83 @@ def _validate_horizon_depth(t: float, depth: int, max_depth: int) -> None:
         )
 
 
+def _level(
+    horizons: np.ndarray,
+    owner: np.ndarray,
+    clocks: ClockSource,
+    streams: list,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Move a batch of trees through one level of their alive regions.
+
+    `horizons` holds the batch's vertices at this depth, grouped by tree in
+    tree order, and `owner` the tree of each.  Every tree draws one clock per
+    positive horizon from its own stream, in vertex order: exactly the draws
+    it makes when sampled alone.  A vertex at horizon 0, or whose clock
+    exceeds its horizon, is a leaf.  Returns the survivors of each tree, and
+    the survivors' remaining horizons with their trees.
+    """
+    positive = horizons > 0.0
+    nonzero = horizons[positive]
+    nz_owner = owner[positive]
+    need = np.bincount(nz_owner, minlength=len(streams)).tolist()
+    parts = [clocks.draw(streams[k], c) for k, c in enumerate(need) if c]
+    draws = parts[0] if len(parts) == 1 else np.concatenate(parts or [nonzero])
+    kept = draws <= nonzero
+    alive_owner = nz_owner[kept]
+    alive = np.bincount(alive_owner, minlength=len(streams))
+    return alive, nonzero[kept] - draws[kept], alive_owner
+
+
+def _children(
+    alpha: float,
+    remaining: np.ndarray,
+    owner: np.ndarray,
+    alive: np.ndarray,
+    frontier_cap: int,
+    depth: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two children per survivor at the rescaled remaining horizon; each tree's
+    frontier at `depth` must stay within `frontier_cap` vertices."""
+    # no tree can be over the cap unless the whole batch is
+    if 2 * remaining.size > frontier_cap and 2 * int(alive.max()) > frontier_cap:
+        raise SamplerCapError(
+            f"alive frontier exceeded {frontier_cap} vertices at depth {depth}; "
+            "reduce the depth or raise frontier_cap"
+        )
+    return (alpha * remaining).repeat(2), owner.repeat(2)
+
+
+def _census_batch(
+    params: CascadeParams,
+    t: float,
+    depth: int,
+    clocks: ClockSource,
+    streams: list,
+    frontier_cap: int = _DEFAULT_FRONTIER_CAP,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leaves and alive vertices per depth for one tree per stream.
+
+    Returns two (trees, depth + 1) arrays; row k is the census of the tree
+    drawn from `streams[k]`, bit for bit what :func:`leaf_census` gives it.
+    """
+    _validate_horizon_depth(t, depth, _MAX_COUNT_DEPTH)
+    n_trees = len(streams)
+    alive = np.zeros((n_trees, depth + 1), dtype=np.int64)
+    horizons = np.full(n_trees, float(t))
+    owner = np.arange(n_trees)
+    for d in range(depth + 1):
+        if horizons.size == 0:
+            break
+        alive[:, d], remaining, owner = _level(horizons, owner, clocks, streams)
+        if d == depth:
+            break
+        horizons, owner = _children(params.alpha, remaining, owner, alive[:, d], frontier_cap, d + 1)
+    # every vertex at depth d is a leaf or alive: the root, then two per survivor
+    vertices = np.ones_like(alive)
+    vertices[:, 1:] = 2 * alive[:, :-1]
+    return vertices - alive, alive
+
+
 def leaf_census(
     params: CascadeParams,
     t: float,
@@ -167,31 +246,8 @@ def leaf_census(
     are leaves without consuming a clock (the horizon-0 tree is just the
     root).  Memory is O(alive frontier), not O(2**depth).
     """
-    _validate_horizon_depth(t, depth, _MAX_COUNT_DEPTH)
-    alpha = params.alpha
-    leaves = np.zeros(depth + 1, dtype=np.int64)
-    alive = np.zeros(depth + 1, dtype=np.int64)
-    horizons = np.array([float(t)])
-    for d in range(depth + 1):
-        if horizons.size == 0:
-            break
-        nonzero = horizons[horizons > 0.0]
-        leaves[d] += horizons.size - nonzero.size  # horizon-0 vertices are leaves
-        if nonzero.size == 0:
-            break
-        draws = clocks.draw(stream, nonzero.size)
-        survivors = nonzero[draws <= nonzero] - draws[draws <= nonzero]
-        leaves[d] += nonzero.size - survivors.size
-        alive[d] = survivors.size
-        if d == depth:
-            break
-        horizons = np.repeat(alpha * survivors, 2)
-        if horizons.size > frontier_cap:
-            raise SamplerCapError(
-                f"alive frontier exceeded {frontier_cap} vertices at depth {d + 1}; "
-                "reduce depth or raise frontier_cap"
-            )
-    return LeafCensus(t, depth, leaves, alive)
+    leaves, alive = _census_batch(params, t, depth, clocks, [stream], frontier_cap)
+    return LeafCensus(t, depth, leaves[0], alive[0])
 
 
 def path_extrema_by_depth(
@@ -227,6 +283,54 @@ def path_extrema_by_depth(
     return s, l
 
 
+def _x0_values(x0, args: np.ndarray) -> np.ndarray:
+    vals = np.asarray(x0(args), dtype=float)
+    if vals.shape != args.shape:
+        vals = np.broadcast_to(vals, args.shape)
+    if vals.size and (np.min(vals) < 0.0 or np.max(vals) > 1.0):
+        raise ValueError("x0 returned a value outside [0, 1]")
+    return vals
+
+
+def _product_batch(
+    params: CascadeParams,
+    t: float,
+    n: int,
+    x0,
+    clocks: ClockSource,
+    streams: list,
+    frontier_cap: int = _DEFAULT_FRONTIER_CAP,
+) -> np.ndarray:
+    """One draw of the depth-n product recursion per stream.
+
+    Entry k is the draw from the tree of `streams[k]`, bit for bit what
+    :func:`sample_product_indicator` gives it: the trees advance together
+    but each consumes its own clocks, and its factors are multiplied in
+    vertex order.
+    """
+    _validate_horizon_depth(t, n, _MAX_COUNT_DEPTH)
+    n_trees = len(streams)
+    if n == 0:
+        return np.full(n_trees, _x0_values(x0, np.array([float(t)]))[0])
+    horizons = np.full(n_trees, float(t))
+    owner = np.arange(n_trees)
+    for d in range(n):
+        if horizons.size == 0:
+            break
+        alive, remaining, owner = _level(horizons, owner, clocks, streams)
+        horizons, owner = _children(params.alpha, remaining, owner, alive, frontier_cap, d + 1)
+    # a leaf contributes the factor 1 (a horizon-0 vertex with budget left is
+    # one: its clock exceeds 0 surely); the frontier at depth n goes through
+    # x0, horizon 0 included; an empty product is 1
+    out = np.ones(n_trees)
+    if horizons.size:
+        sizes = np.bincount(owner, minlength=n_trees)
+        grown = np.flatnonzero(sizes)
+        starts = np.concatenate(([0], np.cumsum(sizes[grown])[:-1]))
+        out[grown] = np.multiply.reduceat(_x0_values(x0, horizons), starts)
+    return out
+
+
 def sample_product_indicator(
     params: CascadeParams,
     t: float,
@@ -244,37 +348,7 @@ def sample_product_indicator(
     (empty product = 1).  For n=0 the value is x0(t) directly.  The
     expectation equals the n-th deterministic iterate seeded by x0.
     """
-    _validate_horizon_depth(t, n, _MAX_COUNT_DEPTH)
-    alpha = params.alpha
-
-    def _x0_values(args: np.ndarray) -> np.ndarray:
-        vals = np.asarray(x0(args), dtype=float)
-        if vals.shape != args.shape:
-            vals = np.broadcast_to(vals, args.shape)
-        if vals.size and (np.min(vals) < 0.0 or np.max(vals) > 1.0):
-            raise ValueError("x0 returned a value outside [0, 1]")
-        return vals
-
-    if n == 0:
-        return float(_x0_values(np.array([float(t)]))[0])
-    horizons = np.array([float(t)])
-    for _ in range(n):
-        # a horizon-0 vertex with budget left contributes the factor 1
-        # (its clock exceeds 0 surely); at budget 0 it must go through x0
-        nonzero = horizons[horizons > 0.0]
-        if nonzero.size == 0:
-            return 1.0
-        draws = clocks.draw(stream, nonzero.size)
-        survivors = nonzero[draws <= nonzero] - draws[draws <= nonzero]
-        horizons = np.repeat(alpha * survivors, 2)
-        if horizons.size > frontier_cap:
-            raise SamplerCapError(
-                f"alive frontier exceeded {frontier_cap} vertices; "
-                "reduce n or raise frontier_cap"
-            )
-    if horizons.size == 0:
-        return 1.0
-    return float(np.prod(_x0_values(horizons)))
+    return float(_product_batch(params, t, n, x0, clocks, [stream], frontier_cap)[0])
 
 
 @lru_cache(maxsize=64)

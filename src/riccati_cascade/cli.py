@@ -412,6 +412,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
+        if not (math.isfinite(args.eps_tail) and args.eps_tail > 0.0):
+            raise ValueError(f"--eps-tail must be finite and > 0, got {args.eps_tail}")
         return _HANDLERS[args.command](args)
     except (ValueError, GridMemoryError, SamplerCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,9 @@
 
 Every estimator derives one counter-based substream per (point, sample)
 pair, so results are bit-identical for any worker count: workers only
-decide who computes which fixed chunk of the sample index space.
+decide who computes which fixed chunk of the sample index space.  The
+chunks of all points of one call go through one map, so a call starts at
+most one process pool.
 Standard errors are CLT-based (sample standard deviation / sqrt(n)).
 
 The two path tails come from one estimator: each tree is searched once
@@ -22,9 +24,9 @@ import numpy as np
 from .cascade_core import (
     CascadeParams,
     ClockSource,
+    _census_batch,
+    _product_batch,
     derive_stream,
-    leaf_census,
-    sample_product_indicator,
     sample_tail_flags,
 )
 from .grid_numerics import GridFunction, evaluate
@@ -42,6 +44,7 @@ __all__ = [
 ]
 
 _CHUNK = 1000
+_BATCH_VERTICES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -154,15 +157,44 @@ def _map_chunks(fn, tasks: list, workers: int) -> list:
         return [fn(t) for t in tasks]
 
 
+def _map_points(fn, heads: list[tuple], samples: int, workers: int) -> list[list]:
+    """Map the chunks of every point through one `_map_chunks` call.
+
+    The task for samples lo..hi-1 of point j is `heads[j] + (j * samples,
+    lo, hi)`: point j draws substreams j * samples + i.  The results come
+    back as one list of chunk results per point.
+    """
+    chunks = _chunks(samples)
+    tasks = [head + (j * samples, lo, hi) for j, head in enumerate(heads) for lo, hi in chunks]
+    results = _map_chunks(fn, tasks, workers)
+    return [results[j : j + len(chunks)] for j in range(0, len(results), len(chunks))]
+
+
+def _sub_batches(params: CascadeParams, first: int, stop: int, levels: int):
+    """Substreams first..stop-1 in sub-batches whose worst-case frontiers
+    (2**levels vertices per tree) add up to about 2**15 vertices; from 15
+    levels up, each tree goes alone."""
+    size = max(1, _BATCH_VERTICES >> levels)
+    for lo in range(first, stop, size):
+        yield [derive_stream(params, i) for i in range(lo, min(lo + size, stop))]
+
+
 def _vcurve_chunk(task) -> np.ndarray:
     alpha, seed, t, n, v0, clocks, base_index, lo, hi = task
     params = CascadeParams(alpha, seed)
-    x0 = v0  # GridFunction is callable with the tail policy built in
-    out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        stream = derive_stream(params, base_index + i)
-        out[i - lo] = sample_product_indicator(params, t, n, x0, clocks, stream)
-    return out
+    # v0 is a GridFunction: callable, with the tail policy built in
+    return np.concatenate([
+        _product_batch(params, t, n, v0, clocks, streams)
+        for streams in _sub_batches(params, base_index + lo, base_index + hi, n)
+    ])
+
+
+def _check_t_points(t_points) -> list[float]:
+    t_list = [float(t) for t in t_points]
+    for t in t_list:
+        if t < 0.0:
+            raise ValueError(f"t_points must be >= 0, got {t}")
+    return t_list
 
 
 def estimate_v_curve(
@@ -180,32 +212,25 @@ def estimate_v_curve(
     are valid per point.
     """
     clocks = clocks or ClockSource.exponential()
-    t_list = [float(t) for t in t_points]
+    t_list = _check_t_points(t_points)
+    heads = [(alpha, cfg.seed, t, n, v0, clocks) for t in t_list]
+    per_point = _map_points(_vcurve_chunk, heads, cfg.samples, cfg.workers)
     points = []
-    for t_idx, t in enumerate(t_list):
-        if t < 0.0:
-            raise ValueError(f"t_points must be >= 0, got {t}")
-        base = t_idx * cfg.samples
-        tasks = [
-            (alpha, cfg.seed, t, n, v0, clocks, base, lo, hi) for lo, hi in _chunks(cfg.samples)
-        ]
-        samples = np.concatenate(_map_chunks(_vcurve_chunk, tasks, cfg.workers))
-        mean, stderr = _mean_stderr(samples)
+    for t, results in zip(t_list, per_point):
+        mean, stderr = _mean_stderr(np.concatenate(results))
         points.append(EstimatePoint(t, mean, stderr, cfg.samples))
     return EstimateSeries(tuple(points))
 
 
 def _hist_chunk(task) -> tuple[np.ndarray, int]:
-    alpha, seed, t, depth, clocks, lo, hi = task
+    alpha, seed, t, depth, clocks, base_index, lo, hi = task
     params = CascadeParams(alpha, seed)
-    counts = np.empty(hi - lo, dtype=np.int64)
-    truncated = 0
-    for i in range(lo, hi):
-        stream = derive_stream(params, i)
-        census = leaf_census(params, t, depth, clocks, stream)
-        counts[i - lo] = census.count_up_to(depth)
-        truncated += census.truncated_at(depth)
-    return counts, truncated
+    counts, truncated = [], 0
+    for streams in _sub_batches(params, base_index + lo, base_index + hi, depth):
+        leaves, alive = _census_batch(params, t, depth, clocks, streams)
+        counts.append(leaves.sum(axis=1))
+        truncated += int(np.count_nonzero(alive[:, depth]))
+    return np.concatenate(counts), truncated
 
 
 def estimate_leaf_histogram(
@@ -217,8 +242,8 @@ def estimate_leaf_histogram(
 ) -> Histogram:
     """Histogram of truncated leaf counts over cfg.samples independent trees."""
     clocks = clocks or ClockSource.exponential()
-    tasks = [(alpha, cfg.seed, float(t), depth, clocks, lo, hi) for lo, hi in _chunks(cfg.samples)]
-    results = _map_chunks(_hist_chunk, tasks, cfg.workers)
+    [results] = _map_points(_hist_chunk, [(alpha, cfg.seed, float(t), depth, clocks)],
+                            cfg.samples, cfg.workers)
     values = np.concatenate([r[0] for r in results])
     truncated = int(sum(r[1] for r in results))
     uniq, cnt = np.unique(values, return_counts=True)
@@ -267,15 +292,11 @@ def estimate_path_tails(
     if alpha <= 0.0:
         raise ValueError("path tails require alpha > 0")
     clocks = clocks or ClockSource.exponential()
+    t_list = _check_t_points(t_points)
+    heads = [(alpha, cfg.seed, t, depth, clocks) for t in t_list]
+    per_point = _map_points(_tail_chunk, heads, cfg.samples, cfg.workers)
     s_points, l_points = [], []
-    for t_idx, t in enumerate(float(t) for t in t_points):
-        if t < 0.0:
-            raise ValueError(f"t_points must be >= 0, got {t}")
-        base = t_idx * cfg.samples
-        tasks = [
-            (alpha, cfg.seed, t, depth, clocks, base, lo, hi) for lo, hi in _chunks(cfg.samples)
-        ]
-        results = _map_chunks(_tail_chunk, tasks, cfg.workers)
+    for t, results in zip(t_list, per_point):
         for col, points in ((0, s_points), (1, l_points)):
             mean, stderr = _mean_stderr(np.concatenate([r[col] for r in results]))
             points.append(EstimatePoint(t, mean, stderr, cfg.samples))

@@ -19,6 +19,14 @@ from riccati_cascade import (
     sample_product_indicator,
     sample_tail_flags,
 )
+from riccati_cascade.cascade_core import (
+    _DEFAULT_FRONTIER_CAP,
+    _MAX_COUNT_DEPTH,
+    LeafCensus,
+    _census_batch,
+    _product_batch,
+    _validate_horizon_depth,
+)
 
 EXP = ClockSource.exponential()
 
@@ -84,6 +92,90 @@ def _reference_tail_flags(params, t, depth, clocks, stream, visit_cap=50_000_000
         stack.append((child, d + 1))
         stack.append((child, d + 1))
     return TailFlags(not alive_found, crossing_found)
+
+
+def _reference_leaf_census(
+    params: CascadeParams,
+    t: float,
+    depth: int,
+    clocks: ClockSource,
+    stream: np.random.Generator,
+    frontier_cap: int = _DEFAULT_FRONTIER_CAP,
+) -> LeafCensus:
+    """The per-tree census as it was before the batch core: the oracle for
+    the batch's tallies and for the clocks each tree consumes."""
+    _validate_horizon_depth(t, depth, _MAX_COUNT_DEPTH)
+    alpha = params.alpha
+    leaves = np.zeros(depth + 1, dtype=np.int64)
+    alive = np.zeros(depth + 1, dtype=np.int64)
+    horizons = np.array([float(t)])
+    for d in range(depth + 1):
+        if horizons.size == 0:
+            break
+        nonzero = horizons[horizons > 0.0]
+        leaves[d] += horizons.size - nonzero.size  # horizon-0 vertices are leaves
+        if nonzero.size == 0:
+            break
+        draws = clocks.draw(stream, nonzero.size)
+        survivors = nonzero[draws <= nonzero] - draws[draws <= nonzero]
+        leaves[d] += nonzero.size - survivors.size
+        alive[d] = survivors.size
+        if d == depth:
+            break
+        horizons = np.repeat(alpha * survivors, 2)
+        if horizons.size > frontier_cap:
+            raise SamplerCapError(
+                f"alive frontier exceeded {frontier_cap} vertices at depth {d + 1}; "
+                "reduce depth or raise frontier_cap"
+            )
+    return LeafCensus(t, depth, leaves, alive)
+
+
+def _reference_sample_product_indicator(
+    params: CascadeParams,
+    t: float,
+    n: int,
+    x0,
+    clocks: ClockSource,
+    stream: np.random.Generator,
+    frontier_cap: int = _DEFAULT_FRONTIER_CAP,
+) -> float:
+    """The per-tree product recursion as it was before the batch core."""
+    _validate_horizon_depth(t, n, _MAX_COUNT_DEPTH)
+    alpha = params.alpha
+
+    def _x0_values(args: np.ndarray) -> np.ndarray:
+        vals = np.asarray(x0(args), dtype=float)
+        if vals.shape != args.shape:
+            vals = np.broadcast_to(vals, args.shape)
+        if vals.size and (np.min(vals) < 0.0 or np.max(vals) > 1.0):
+            raise ValueError("x0 returned a value outside [0, 1]")
+        return vals
+
+    if n == 0:
+        return float(_x0_values(np.array([float(t)]))[0])
+    horizons = np.array([float(t)])
+    for _ in range(n):
+        # a horizon-0 vertex with budget left contributes the factor 1
+        # (its clock exceeds 0 surely); at budget 0 it must go through x0
+        nonzero = horizons[horizons > 0.0]
+        if nonzero.size == 0:
+            return 1.0
+        draws = clocks.draw(stream, nonzero.size)
+        survivors = nonzero[draws <= nonzero] - draws[draws <= nonzero]
+        horizons = np.repeat(alpha * survivors, 2)
+        if horizons.size > frontier_cap:
+            raise SamplerCapError(
+                f"alive frontier exceeded {frontier_cap} vertices; "
+                "reduce n or raise frontier_cap"
+            )
+    if horizons.size == 0:
+        return 1.0
+    return float(np.prod(_x0_values(horizons)))
+
+
+def _next_draws(streams):
+    return [s.standard_exponential(4).tolist() for s in streams]
 
 
 class TestDeriveStream:
@@ -396,3 +488,77 @@ class TestTailFlags:
         p = params(1.5, seed=71)
         with pytest.raises(SamplerCapError, match="visit"):
             sample_tail_flags(p, 8.0, 30, EXP, derive_stream(p, 0), visit_cap=3)
+
+
+class TestBatchCore:
+    """Sub-batches of trees against the per-tree samplers, tree by tree."""
+
+    X0 = staticmethod(lambda h: 0.9 * np.exp(-h / 3.0))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.66, 1.5, 3.0])
+    @pytest.mark.parametrize("clocks", [EXP, ClockSource.constant(0.7)], ids=["exp", "const"])
+    def test_batches_match_per_tree_samplers(self, alpha, clocks):
+        # every tree's result and the stream position after it are pinned:
+        # a tree that draws another tree's clocks, or one clock too many or
+        # too few, changes the next draws
+        p = params(alpha, seed=73)
+        index = 0
+        # at t = 0.7 a constant clock meets the root's horizon exactly
+        for t in (0.0, 0.5, 0.7, 2.0, 5.0):
+            for n in (0, 1, 4, 9):
+                for size in (1, 3, 8):
+                    ids = range(index, index + size)
+                    index += size
+                    got_streams = [derive_stream(p, i) for i in ids]
+                    want_streams = [derive_stream(p, i) for i in ids]
+                    leaves, alive = _census_batch(p, t, n, clocks, got_streams)
+                    want = [_reference_leaf_census(p, t, n, clocks, s) for s in want_streams]
+                    assert np.array_equal(leaves, [c.leaves_by_depth for c in want])
+                    assert np.array_equal(alive, [c.alive_by_depth for c in want])
+                    assert _next_draws(got_streams) == _next_draws(want_streams)
+
+                    got = _product_batch(p, t, n, self.X0, clocks, got_streams)
+                    want = [
+                        _reference_sample_product_indicator(p, t, n, self.X0, clocks, s)
+                        for s in want_streams
+                    ]
+                    assert got.tolist() == want, (t, n, size)
+                    assert _next_draws(got_streams) == _next_draws(want_streams)
+
+    def test_public_samplers_are_batches_of_one(self):
+        p = params(1.5, seed=79)
+        for i in range(50):
+            census = leaf_census(p, 2.0, 10, EXP, derive_stream(p, i))
+            want = _reference_leaf_census(p, 2.0, 10, EXP, derive_stream(p, i))
+            assert np.array_equal(census.leaves_by_depth, want.leaves_by_depth)
+            assert np.array_equal(census.alive_by_depth, want.alive_by_depth)
+            x = sample_product_indicator(p, 3.0, 10, self.X0, EXP, derive_stream(p, i))
+            assert x == _reference_sample_product_indicator(p, 3.0, 10, self.X0, EXP,
+                                                            derive_stream(p, i))
+
+    def test_frontier_cap_is_per_tree(self):
+        # one tree over the cap fails its batch; trees under it pass even
+        # when their frontiers add up to more than the cap
+        p = params(1.5, seed=83)
+        cap, t, depth = 200, 2.0, 12
+        over, under = [], []
+        for i in range(60):
+            try:
+                census = _reference_leaf_census(p, t, depth, EXP, derive_stream(p, i), cap)
+            except SamplerCapError:
+                over.append(i)
+            else:
+                under.append((2 * int(census.alive_by_depth[:depth].max()), i))
+        largest = sorted(under)[-4:]
+        assert over and sum(peak for peak, _ in largest) > cap
+        calm = sorted(i for _, i in largest)
+
+        leaves, _ = _census_batch(p, t, depth, EXP, [derive_stream(p, i) for i in calm], cap)
+        for row, i in zip(leaves, calm):
+            want = _reference_leaf_census(p, t, depth, EXP, derive_stream(p, i), cap)
+            assert np.array_equal(row, want.leaves_by_depth)
+        mixed = calm[:2] + over[:1] + calm[2:]
+        with pytest.raises(SamplerCapError, match="frontier"):
+            _census_batch(p, t, depth, EXP, [derive_stream(p, i) for i in mixed], cap)
+        with pytest.raises(SamplerCapError, match="frontier"):
+            _product_batch(p, t, depth, self.X0, EXP, [derive_stream(p, i) for i in mixed], cap)

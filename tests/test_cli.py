@@ -147,6 +147,14 @@ class TestUsage:
         assert err.startswith("error: ") and "\n" not in err
         assert not (tmp_path / argv[0]).exists()
 
+    @pytest.mark.parametrize("eps_tail", ["nan", "inf", "0", "-1"])
+    def test_eps_tail_must_be_finite_and_positive(self, tmp_path, capsys, eps_tail):
+        assert run(tmp_path, "qn", "--alpha", "3", "--depth", "6", "--step", "0.05",
+                   f"--eps-tail={eps_tail}", "--seed", "1") == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "--eps-tail" in err and "\n" not in err
+        assert not (tmp_path / "qn").exists()
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "riccati-cascade" in capsys.readouterr().out

@@ -21,10 +21,13 @@ from riccati_cascade import (
     evaluate,
     iterate_vn,
     picard_v0,
+    sample_product_indicator,
     sample_tail_flags,
 )
+from riccati_cascade import monte_carlo
 
 GRID = UniformGrid(8.0, 0.01)
+EXP = ClockSource.exponential()
 
 
 class TestConfig:
@@ -60,6 +63,21 @@ class TestVCurve:
         for p in series.points:
             z = abs(p.mean - evaluate(vn, p.t)) / p.stderr
             assert z <= 4.0
+
+    def test_points_are_sampler_means_over_their_own_substreams(self):
+        # point j draws substreams j * samples + i; 1100 samples span a full
+        # and a partial chunk, so a slip in the regrouping shows
+        v0 = picard_v0(1.5, GRID, 5)
+        cfg = McConfig(seed=19, samples=1100)
+        ts = [0.5, 2.0, 4.0]
+        series = estimate_v_curve(1.5, ts, 8, v0, cfg)
+        p = CascadeParams(1.5, cfg.seed)
+        for t_idx, t in enumerate(ts):
+            draws = [
+                sample_product_indicator(p, t, 8, v0, EXP, derive_stream(p, t_idx * cfg.samples + i))
+                for i in range(cfg.samples)
+            ]
+            assert series.points[t_idx].mean == np.mean(draws)
 
     def test_rejects_negative_points(self):
         v0 = picard_v0(1.5, GRID, 5)
@@ -139,14 +157,14 @@ class TestPathTails:
         assert np.all(l_series.means() >= s_series.means())
 
     def test_series_are_flag_means_over_one_set_of_trees(self):
-        cfg = McConfig(seed=15, samples=400, depth=12)
+        # 1100 samples span a full and a partial chunk per point
+        cfg = McConfig(seed=15, samples=1100, depth=12)
         ts = [0.5, 2.0, 4.0]
         s_series, l_series = estimate_path_tails(1.5, ts, 12, cfg)
         p = CascadeParams(1.5, cfg.seed)
-        exp = ClockSource.exponential()
         for t_idx, t in enumerate(ts):
             flags = [
-                sample_tail_flags(p, t, 12, exp, derive_stream(p, t_idx * cfg.samples + i))
+                sample_tail_flags(p, t, 12, EXP, derive_stream(p, t_idx * cfg.samples + i))
                 for i in range(cfg.samples)
             ]
             s_mean = np.mean([float(f.s_exceeds) for f in flags])
@@ -170,17 +188,35 @@ class TestPathTails:
 
 
 class TestReproducibility:
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # 2345 samples are three chunks per point, so two workers really
+        # share the work, through one pool per estimator call
+        pools = []
+
+        class CountingPool(monte_carlo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(monte_carlo, "ProcessPoolExecutor", CountingPool)
         v0 = picard_v0(1.5, GRID, 3)
-        series, hists, tails = [], [], []
+        ts = [1.0, 2.0, 3.0]
+        runs = []
         for workers in (1, 2):
-            cfg = McConfig(seed=13, samples=300, depth=8, workers=workers)
-            series.append(estimate_v_curve(1.5, [1.0, 3.0], 8, v0, cfg))
-            hists.append(estimate_leaf_histogram(1.5, 2.0, 8, cfg))
-            tails.append(estimate_path_tails(1.5, [2.0], 15, cfg))
-        assert series[0] == series[1]
-        assert hists[0] == hists[1]
-        assert tails[0] == tails[1]
+            cfg = McConfig(seed=13, samples=2345, depth=8, workers=workers)
+            curve = estimate_v_curve(1.5, ts, 8, v0, cfg)
+            hist = estimate_leaf_histogram(1.5, 2.0, 8, cfg)
+            s_tail, l_tail = estimate_path_tails(1.5, ts, 15, cfg)
+            runs.append((
+                [series.means() for series in (curve, s_tail, l_tail)],
+                [series.stderrs() for series in (curve, s_tail, l_tail)],
+                hist,
+            ))
+        assert pools == [2, 2, 2]
+        (means_1, errs_1, hist_1), (means_2, errs_2, hist_2) = runs
+        for a, b in zip(means_1 + errs_1, means_2 + errs_2):
+            assert np.array_equal(a, b)
+        assert hist_1 == hist_2
 
     def test_same_seed_same_series(self):
         v0 = picard_v0(1.5, GRID, 3)
@@ -208,6 +244,20 @@ class TestCalibration:
             covered_mean += abs(point.mean - truth_mean) <= 3.0 * point.stderr
         assert covered_freq >= 99
         assert covered_mean >= 99
+
+
+class TestStderr:
+    def test_bernoulli_stderr_matches_binomial_law(self):
+        # at alpha=0, n=1 and x0=0 the product indicator is Bernoulli(e^-t):
+        # the root crosses or its children sit at horizon 0 and read x0 = 0
+        zero = GridFunction.constant(UniformGrid(4.0, 0.1), 0.0)
+        cfg = McConfig(seed=23, samples=4000)
+        series = estimate_v_curve(0.0, [0.5, 1.0, 2.0], 1, zero, cfg)
+        for point in series.points:
+            p = math.exp(-point.t)
+            exact = math.sqrt(p * (1.0 - p) / cfg.samples)
+            assert abs(point.stderr / exact - 1.0) < 0.10
+            assert abs(point.mean - p) < 4.0 * exact
 
 
 class TestCompareSeries:
