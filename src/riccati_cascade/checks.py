@@ -250,6 +250,8 @@ def check_worker_count_invariance(alpha: float, seed: int) -> CheckResult:
     for workers in (1, 2):
         cfg = McConfig(seed=seed, samples=200, depth=6, workers=workers)
         series.append(estimate_v_curve(alpha, [1.0, 3.0], 6, v0, cfg))
+        # two chunks, so that two workers share the histogram too
+        cfg = McConfig(seed=seed, samples=1200, depth=8, workers=workers)
         hists.append(estimate_leaf_histogram(alpha, 2.0, 8, cfg))
     same_series = series[0] == series[1]
     same_hist = hists[0] == hists[1]
@@ -260,8 +262,46 @@ def check_worker_count_invariance(alpha: float, seed: int) -> CheckResult:
     )
 
 
+# false-alarm rate of one ci_calibration run on correct code, half per coverage count
+_CALIBRATION_RATE = 1e-4
+
+
+def _binomial_pmf(k: int, n: int, p: float) -> float:
+    log_choose = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    return math.exp(log_choose + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def _three_sigma_coverage(p: float, n: int, ddof: int) -> float:
+    """Exact probability that x/n +- 3 sqrt(x/n (1 - x/n) / (n - ddof)) covers p,
+    for x ~ Binomial(n, p)."""
+    covered = 0.0
+    for k in range(n + 1):
+        f = k / n
+        if abs(f - p) <= 3.0 * math.sqrt(max(f * (1.0 - f), 1e-12) / (n - ddof)):
+            covered += _binomial_pmf(k, n, p)
+    return covered
+
+
+def _required_count(reps: int, coverage: float, rate: float) -> int:
+    """Largest c with P(Binomial(reps, coverage) < c) <= rate."""
+    below = 0.0
+    for c in range(reps + 1):
+        below += _binomial_pmf(c, reps, coverage)
+        if below > rate:
+            return c
+    return reps
+
+
 def check_ci_calibration(seed: int, reps: int, samples: int) -> CheckResult:
-    """Nominal 3-sigma intervals must cover known truths in >= 99% of runs."""
+    """3-sigma intervals cover known truths as often as the binomial law says.
+
+    At alpha = 0 the leaf count is 2 with probability 1 - e^-2 and the
+    depth-1 product indicator from x0 = 0 is Bernoulli(e^-2).  Each rep
+    draws the two on disjoint substreams (seeds seed + 2r and seed + 2r + 1),
+    so the two coverage counts are independent.  Each count must reach the
+    level that a run on correct code misses with probability at most half
+    of _CALIBRATION_RATE, from the exact coverage of the interval.
+    """
     truth_hist = 1.0 - math.exp(-2.0)
     truth_mean = math.exp(-2.0)
     grid = UniformGrid(4.0, 0.1)
@@ -269,18 +309,26 @@ def check_ci_calibration(seed: int, reps: int, samples: int) -> CheckResult:
     covered_hist = 0
     covered_mean = 0
     for r in range(reps):
-        cfg = McConfig(seed=seed + r, samples=samples, depth=10)
+        cfg = McConfig(seed=seed + 2 * r, samples=samples, depth=10)
         hist = estimate_leaf_histogram(0.0, 2.0, 10, cfg)
         freq = hist.frequency(2)
         se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / hist.total)
         covered_hist += abs(freq - truth_hist) <= 3.0 * se
+        cfg = McConfig(seed=seed + 2 * r + 1, samples=samples, depth=1)
         point = estimate_v_curve(0.0, [2.0], 1, zero, cfg).points[0]
         covered_mean += abs(point.mean - truth_mean) <= 3.0 * point.stderr
-    ok = covered_hist >= math.ceil(0.99 * reps) and covered_mean >= math.ceil(0.99 * reps)
+    # the histogram's se divides by n, the estimator's stderr by n - 1
+    need_hist = _required_count(reps, _three_sigma_coverage(truth_hist, samples, 0),
+                                _CALIBRATION_RATE / 2)
+    need_mean = _required_count(reps, _three_sigma_coverage(truth_mean, samples, 1),
+                                _CALIBRATION_RATE / 2)
+    ok = covered_hist >= need_hist and covered_mean >= need_mean
     return _result(
         "ci_calibration",
         ok,
-        f"3-sigma coverage: histogram {covered_hist}/{reps}, mean {covered_mean}/{reps}",
+        f"3-sigma coverage: histogram {covered_hist}/{reps} (need {need_hist}), "
+        f"mean {covered_mean}/{reps} (need {need_mean}); "
+        f"false-alarm rate {_CALIBRATION_RATE:g} per run",
     )
 
 
@@ -364,7 +412,7 @@ def run_all_checks(
 ) -> list[CheckResult]:
     """Run every invariant check; `fast` trims the statistical sample sizes."""
     n = max(200, samples // 10) if fast else samples
-    reps = 30 if fast else 100
+    reps = 150 if fast else 300
     results = [
         check_stream_determinism(seed),
         check_sampler_determinism(seed),
@@ -378,7 +426,7 @@ def run_all_checks(
         check_quadrature_order(),
         check_q_dominated_by_seed(alpha),
         check_worker_count_invariance(alpha, seed),
-        check_ci_calibration(seed, reps, max(500, n // 2)),
+        check_ci_calibration(seed, reps, max(100, n // 10)),
         check_tail_domination(alpha, seed, n),
         check_heavy_tail_signature(seed, n),
         check_serialization_roundtrip(alpha, seed),

@@ -45,6 +45,8 @@ __all__ = [
 
 _CHUNK = 1000
 _BATCH_VERTICES = 1 << 15
+# generators that finished sub-batches hand on for re-keying (see _sub_batches)
+_SPARE_GENERATORS: list[np.random.Generator] = []
 
 
 @dataclass(frozen=True)
@@ -170,13 +172,35 @@ def _map_points(fn, heads: list[tuple], samples: int, workers: int) -> list[list
     return [results[j : j + len(chunks)] for j in range(0, len(results), len(chunks))]
 
 
-def _sub_batches(params: CascadeParams, first: int, stop: int, levels: int):
-    """Substreams first..stop-1 in sub-batches whose worst-case frontiers
-    (2**levels vertices per tree) add up to about 2**15 vertices; from 15
-    levels up, each tree goes alone."""
-    size = max(1, _BATCH_VERTICES >> levels)
-    for lo in range(first, stop, size):
-        yield [derive_stream(params, i) for i in range(lo, min(lo + size, stop))]
+def _batch_size(levels: int) -> int:
+    """Trees per sub-batch whose worst-case frontiers (2**levels vertices per
+    tree) add up to about 2**15 vertices; from 15 levels up, one tree."""
+    return max(1, _BATCH_VERTICES >> levels)
+
+
+def _sub_batches(params: CascadeParams, first: int, stop: int, size: int):
+    """Substreams first..stop-1 in lists of at most `size` generators.
+
+    The generators are recycled, not built per tree: each is re-keyed to a
+    fresh `derive_stream` state with the counter moved to the tree's index,
+    which replays that substream bit for bit for a tenth of the cost of a
+    new generator.  A list is valid until the next one is yielded; the
+    generators then go back to `_SPARE_GENERATORS` for later calls.
+    """
+    template = derive_stream(params, first).bit_generator.state
+    counter = template["state"]["counter"]
+    count = min(size, stop - first)
+    slots = [_SPARE_GENERATORS.pop() for _ in range(min(count, len(_SPARE_GENERATORS)))]
+    slots += [derive_stream(params, first) for _ in range(count - len(slots))]
+    try:
+        for lo in range(first, stop, size):
+            batch = slots[: stop - lo]
+            for i, gen in enumerate(batch, lo):
+                counter[2] = i
+                gen.bit_generator.state = template
+            yield batch
+    finally:
+        _SPARE_GENERATORS.extend(slots)
 
 
 def _vcurve_chunk(task) -> np.ndarray:
@@ -185,7 +209,7 @@ def _vcurve_chunk(task) -> np.ndarray:
     # v0 is a GridFunction: callable, with the tail policy built in
     return np.concatenate([
         _product_batch(params, t, n, v0, clocks, streams)
-        for streams in _sub_batches(params, base_index + lo, base_index + hi, n)
+        for streams in _sub_batches(params, base_index + lo, base_index + hi, _batch_size(n))
     ])
 
 
@@ -226,7 +250,7 @@ def _hist_chunk(task) -> tuple[np.ndarray, int]:
     alpha, seed, t, depth, clocks, base_index, lo, hi = task
     params = CascadeParams(alpha, seed)
     counts, truncated = [], 0
-    for streams in _sub_batches(params, base_index + lo, base_index + hi, depth):
+    for streams in _sub_batches(params, base_index + lo, base_index + hi, _batch_size(depth)):
         leaves, alive = _census_batch(params, t, depth, clocks, streams)
         counts.append(leaves.sum(axis=1))
         truncated += int(np.count_nonzero(alive[:, depth]))
@@ -263,11 +287,10 @@ def _tail_chunk(task) -> tuple[np.ndarray, np.ndarray]:
     params = CascadeParams(alpha, seed)
     s_flags = np.empty(hi - lo)
     l_flags = np.empty(hi - lo)
-    for i in range(lo, hi):
-        stream = derive_stream(params, base_index + i)
+    for k, [stream] in enumerate(_sub_batches(params, base_index + lo, base_index + hi, 1)):
         flags = sample_tail_flags(params, t, depth, clocks, stream)
-        s_flags[i - lo] = 1.0 if flags.s_exceeds else 0.0
-        l_flags[i - lo] = 1.0 if flags.l_exceeds else 0.0
+        s_flags[k] = 1.0 if flags.s_exceeds else 0.0
+        l_flags[k] = 1.0 if flags.l_exceeds else 0.0
     return s_flags, l_flags
 
 

@@ -1,6 +1,9 @@
 """The public API: the names the package exports, and that every export resolves."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -61,3 +64,11 @@ def test_every_export_resolves(module):
     mod = importlib.import_module(name)
     missing = [attr for attr in mod.__all__ if not hasattr(mod, attr)]
     assert missing == []
+
+
+def test_command_line_imports_numpy_alone():
+    code = "import sys, riccati_cascade.cli; print('numpy' in sys.modules, 'scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["True", "False"]

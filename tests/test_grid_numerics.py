@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import lfilter
 
 from riccati_cascade import (
     GridFunction,
@@ -146,14 +145,30 @@ class TestConvolveKernel:
         with pytest.raises(ValueError):
             convolve_kernel(GridFunction.constant(GRID, 1.0), -1.0, GRID)
 
-    @pytest.mark.parametrize("step", [0.00025, 0.01, 0.05, 0.7])
+    # 4.5 exceeds the scan span, so every block is one node
+    @pytest.mark.parametrize("step", [0.00025, 0.01, 0.05, 0.7, 4.5])
     def test_in_place_scan_matches_reference_expression(self, step):
         rng = np.random.default_rng(17)
-        for size in (2, 3, 801, 32001):
+        block = _scan_block(step)
+        for size in sorted({1, 2, 3, 801, 32001, block, block + 1, 3 * block + 7}):
             phi = rng.random(size)
-            assert np.array_equal(
-                _trapezoid_convolve(phi.copy(), step), _reference_trapezoid_convolve(phi, step)
+            np.testing.assert_allclose(
+                _trapezoid_convolve(phi.copy(), step), _reference_trapezoid_convolve(phi, step),
+                rtol=SCAN_RTOL, atol=0.0, err_msg=f"size {size}",
             )
+
+    @pytest.mark.parametrize("step", [0.00025, 0.01, 0.3])
+    def test_mixed_sign_scan_within_rounding_bound(self, step):
+        # mixed signs cancel, so the bound is absolute: exp(h B) B eps max|b|
+        rng = np.random.default_rng(23)
+        block = _scan_block(step)
+        grid = UniformGrid((3 * block + 7) * step, step)
+        f = GridFunction(grid, rng.standard_normal(grid.node_count), 0.0)
+        g = convolve_kernel(f, 0.8, grid)
+        phi = np.interp(0.8 * grid.nodes, grid.nodes, f.values, right=0.0)
+        b = _trapezoid_inputs(phi, step)
+        bound = math.exp(step * block) * block * np.finfo(float).eps * np.max(np.abs(b))
+        assert np.max(np.abs(g.values - _reference_trapezoid_convolve(phi, step))) <= bound
 
 
 class TestPicard:
@@ -225,13 +240,32 @@ class TestIterateVn:
         assert literal_v_deviations(3.0, 10, 64.0) == literal_v_deviations(3.0, 10)
 
 
-def _reference_trapezoid_convolve(phi, step):
-    """The scan before it worked in place, verbatim."""
+def _trapezoid_inputs(phi, step):
+    """The scan's inputs b_i = (h/2)(a phi_{i-1} + phi_i), b_0 = 0."""
     a = math.exp(-step)
     b = np.empty_like(phi)
     b[0] = 0.0
     b[1:] = (step / 2.0) * (a * phi[:-1] + phi[1:])
-    return lfilter([1.0], [1.0, -a], b)
+    return b
+
+
+def _reference_trapezoid_convolve(phi, step):
+    """The trapezoid recurrence g_i = a g_{i-1} + b_i, one float at a time."""
+    a = math.exp(-step)
+    g, out = 0.0, []
+    for b in _trapezoid_inputs(phi, step).tolist():
+        g = a * g + b
+        out.append(g)
+    return np.array(out)
+
+
+# relative bound between the blocked scan and the sequential recurrence for
+# nonnegative inputs: both round within about 1e3 epsilons at 16,000-node blocks
+SCAN_RTOL = 1e-12
+
+
+def _scan_block(step):
+    return max(1, int(grid_numerics._SCAN_SPAN / step))
 
 
 class TestIterateQn:
@@ -273,7 +307,8 @@ class TestIterateQn:
         for j in range(1, 7):
             g = np.interp(0.66 * GRID.nodes, GRID.nodes, q, right=1.0 if j == 1 else 0.0)
             q = np.clip(_reference_trapezoid_convolve(2.0 * g - g * g, GRID.step), 0.0, 1.0)
-            assert np.array_equal(levels[j].values, q), j
+            np.testing.assert_allclose(levels[j].values, q, rtol=SCAN_RTOL, atol=0.0,
+                                       err_msg=f"level {j}")
 
     def test_supersolution_chain_decreasing(self):
         q0 = GridFunction.constant(GRID, 1.0)

@@ -218,6 +218,22 @@ class TestReproducibility:
             assert np.array_equal(a, b)
         assert hist_1 == hist_2
 
+    # 7 trees in threes end on a partial sub-batch; 2 trees fill less than one
+    @pytest.mark.parametrize("first, stop, size", [(5, 12, 3), (40, 42, 8), (0, 1, 1)])
+    def test_recycled_generators_replay_derive_stream(self, first, stop, size):
+        params = CascadeParams(1.5, 2**64 - 3)
+        for _ in range(2):  # the second pass takes the first pass's spare generators
+            index = first
+            for batch in monte_carlo._sub_batches(params, first, stop, size):
+                assert 1 <= len(batch) <= size
+                for gen in batch:
+                    fresh = derive_stream(params, index)
+                    assert np.array_equal(gen.standard_exponential(3), fresh.standard_exponential(3))
+                    # leave an odd 64-bit buffer position and a cached 32-bit half behind
+                    assert gen.integers(2**32, dtype=np.uint32) == fresh.integers(2**32, dtype=np.uint32)
+                    index += 1
+            assert index == stop
+
     def test_same_seed_same_series(self):
         v0 = picard_v0(1.5, GRID, 3)
         cfg = McConfig(seed=14, samples=200)
