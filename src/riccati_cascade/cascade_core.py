@@ -84,7 +84,7 @@ class ClockSource:
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
         if self.mode == "exponential":
             return gen.standard_exponential(n)
-        return np.full(n, self.value)
+        return np.full(n, self.value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -155,50 +155,52 @@ def _validate_horizon_depth(t: float, depth: int, max_depth: int) -> None:
         )
 
 
+def _keep(values: np.ndarray, kept: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of `values` where `kept`, and their count per tree (k owns sizes[k])."""
+    where = kept.nonzero()[0]
+    if len(sizes) == 1:  # a single tree: its count is the number kept
+        return values.take(where), np.array([where.size])
+    counts = where.searchsorted(sizes.cumsum())
+    counts[1:] -= counts[:-1].copy()
+    return values.take(where), counts
+
+
 def _level(
-    horizons: np.ndarray,
-    owner: np.ndarray,
+    parents: np.ndarray,
+    width: int,
+    sizes: np.ndarray,
+    alpha: float,
     clocks: ClockSource,
     streams: list,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Move a batch of trees through one level of their alive regions.
 
-    `horizons` holds the batch's vertices at this depth, grouped by tree in
-    tree order, and `owner` the tree of each.  Every tree draws one clock per
-    positive horizon from its own stream, in vertex order: exactly the draws
-    it makes when sampled alone.  A vertex at horizon 0, or whose clock
-    exceeds its horizon, is a leaf.  Returns the survivors of each tree, and
-    the survivors' remaining horizons with their trees.
+    Each entry of `parents` is the horizon of `width` vertices (the root, or
+    the two children of a survivor); tree k owns the next sizes[k] entries.
+    Every tree draws one clock per vertex of positive horizon from its own
+    stream, in vertex order: exactly the draws it makes when sampled alone.
+    A vertex at horizon 0, or whose clock exceeds its horizon, is a leaf.
+    Returns the survivors' remaining horizons times alpha and their count per tree.
     """
-    positive = horizons > 0.0
-    nonzero = horizons[positive]
-    nz_owner = owner[positive]
-    need = np.bincount(nz_owner, minlength=len(streams)).tolist()
-    parts = [clocks.draw(streams[k], c) for k, c in enumerate(need) if c]
-    draws = parts[0] if len(parts) == 1 else np.concatenate(parts or [nonzero])
-    kept = draws <= nonzero
-    alive_owner = nz_owner[kept]
-    alive = np.bincount(alive_owner, minlength=len(streams))
-    return alive, nonzero[kept] - draws[kept], alive_owner
+    if parents.min() <= 0.0:
+        parents, sizes = _keep(parents, parents > 0.0, sizes)
+    parts = [clocks.draw(streams[k], width * c) for k, c in enumerate(sizes.tolist()) if c]
+    draws = parts[0] if len(parts) == 1 else np.concatenate(parts or [parents])
+    # h - c in place; for finite doubles (gradual underflow) h - c >= 0 iff c <= h
+    np.subtract(parents[:, None], draws.reshape(-1, width), out=draws.reshape(-1, width))
+    survivors, alive = _keep(draws, draws >= 0.0, width * sizes)
+    survivors *= alpha
+    return survivors, alive
 
 
-def _children(
-    alpha: float,
-    remaining: np.ndarray,
-    owner: np.ndarray,
-    alive: np.ndarray,
-    frontier_cap: int,
-    depth: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two children per survivor at the rescaled remaining horizon; each tree's
-    frontier at `depth` must stay within `frontier_cap` vertices."""
+def _check_frontier(survivors: int, alive: np.ndarray, frontier_cap: int, depth: int) -> None:
+    """Each tree's frontier at `depth`, two per survivor, stays within the cap."""
     # no tree can be over the cap unless the whole batch is
-    if 2 * remaining.size > frontier_cap and 2 * int(alive.max()) > frontier_cap:
+    if 2 * survivors > frontier_cap and 2 * int(alive.max()) > frontier_cap:
         raise SamplerCapError(
             f"alive frontier exceeded {frontier_cap} vertices at depth {depth}; "
             "reduce the depth or raise frontier_cap"
         )
-    return (alpha * remaining).repeat(2), owner.repeat(2)
 
 
 def _census_batch(
@@ -217,15 +219,15 @@ def _census_batch(
     _validate_horizon_depth(t, depth, _MAX_COUNT_DEPTH)
     n_trees = len(streams)
     alive = np.zeros((n_trees, depth + 1), dtype=np.int64)
-    horizons = np.full(n_trees, float(t))
-    owner = np.arange(n_trees)
+    parents, width, sizes = np.full(n_trees, float(t)), 1, np.ones(n_trees, dtype=np.int64)
     for d in range(depth + 1):
-        if horizons.size == 0:
+        if parents.size == 0:
             break
-        alive[:, d], remaining, owner = _level(horizons, owner, clocks, streams)
-        if d == depth:
-            break
-        horizons, owner = _children(params.alpha, remaining, owner, alive[:, d], frontier_cap, d + 1)
+        parents, sizes = _level(parents, width, sizes, params.alpha, clocks, streams)
+        alive[:, d] = sizes
+        if d < depth:
+            _check_frontier(parents.size, sizes, frontier_cap, d + 1)
+        width = 2
     # every vertex at depth d is a leaf or alive: the root, then two per survivor
     vertices = np.ones_like(alive)
     vertices[:, 1:] = 2 * alive[:, :-1]
@@ -284,9 +286,7 @@ def path_extrema_by_depth(
 
 
 def _x0_values(x0, args: np.ndarray) -> np.ndarray:
-    vals = np.asarray(x0(args), dtype=float)
-    if vals.shape != args.shape:
-        vals = np.broadcast_to(vals, args.shape)
+    vals = np.broadcast_to(np.asarray(x0(args), dtype=float), args.shape)
     if vals.size and (np.min(vals) < 0.0 or np.max(vals) > 1.0):
         raise ValueError("x0 returned a value outside [0, 1]")
     return vals
@@ -310,24 +310,21 @@ def _product_batch(
     """
     _validate_horizon_depth(t, n, _MAX_COUNT_DEPTH)
     n_trees = len(streams)
-    if n == 0:
-        return np.full(n_trees, _x0_values(x0, np.array([float(t)]))[0])
-    horizons = np.full(n_trees, float(t))
-    owner = np.arange(n_trees)
+    parents, width, sizes = np.full(n_trees, float(t)), 1, np.ones(n_trees, dtype=np.int64)
     for d in range(n):
-        if horizons.size == 0:
+        if parents.size == 0:
             break
-        alive, remaining, owner = _level(horizons, owner, clocks, streams)
-        horizons, owner = _children(params.alpha, remaining, owner, alive, frontier_cap, d + 1)
+        parents, sizes = _level(parents, width, sizes, params.alpha, clocks, streams)
+        _check_frontier(parents.size, sizes, frontier_cap, d + 1)
+        width = 2
     # a leaf contributes the factor 1 (a horizon-0 vertex with budget left is
     # one: its clock exceeds 0 surely); the frontier at depth n goes through
-    # x0, horizon 0 included; an empty product is 1
+    # x0 (once per entry of parents), horizon 0 included; an empty product is 1
     out = np.ones(n_trees)
-    if horizons.size:
-        sizes = np.bincount(owner, minlength=n_trees)
+    if parents.size:
         grown = np.flatnonzero(sizes)
-        starts = np.concatenate(([0], np.cumsum(sizes[grown])[:-1]))
-        out[grown] = np.multiply.reduceat(_x0_values(x0, horizons), starts)
+        starts = (sizes.cumsum() - sizes)[grown] * width
+        out[grown] = np.multiply.reduceat(_x0_values(x0, parents).repeat(width), starts)
     return out
 
 
@@ -359,20 +356,22 @@ def crossing_horizon_cut(alpha: float, log_prob: float = -70.0) -> float:
     unit exponentials:  E exp(s M_j) <= Gamma(1-s) * 2**(j s), so
     P(L > h) <= C(theta) * exp(-theta h) for any theta < 1.  Subtrees whose
     local horizon exceeds the cut cross with negligible probability and are
-    pruned by the tail samplers.
+    pruned by the tail samplers.  Terms j > 20,000 are bounded in closed form.
     """
     if alpha <= 1.0:
         raise ValueError("the crossing-probability cut requires alpha > 1")
-    best = math.inf
+    best, r = math.inf, 1.0 / alpha
     for theta in np.arange(0.05, 1.0, 0.05):
         ln_c = 0.0
-        j = 0
-        while True:
+        for j in range(20_001):
             s = theta * alpha ** (-j)
             ln_c += s * j * math.log(2.0) + math.lgamma(1.0 - s)
-            j += 1
-            if s < 1e-12 or j > 20_000:
+            if s < 1e-12:
                 break
+        else:  # terms from J = j + 1 on, with lgamma(1 - s) <= -ln(1 - s) <= s / (1 - s)
+            rj, j = alpha ** (-j - 1), j + 1
+            ln_c += theta * rj * (math.log(2.0) * (j * (1 - r) + r) / (1 - r) ** 2
+                                  + 1.0 / ((1 - r) * (1 - theta * rj)))
         best = min(best, (ln_c - log_prob) / theta)
     return float(best)
 

@@ -142,7 +142,7 @@ def check_subcritical_survival_vanishes(seed: int, samples: int) -> CheckResult:
 
 
 def check_product_indicator_mean(alpha: float, seed: int, samples: int) -> CheckResult:
-    """Monte Carlo product recursion agrees with the deterministic iterate."""
+    """Monte Carlo product recursion agrees with the iterate; stderr-0 points exactly."""
     grid = UniformGrid(8.0, 0.01)
     v0 = picard_v0(alpha, grid, 5)
     n = 5
@@ -152,7 +152,7 @@ def check_product_indicator_mean(alpha: float, seed: int, samples: int) -> Check
     worst = 0.0
     for p in series.points:
         ref = evaluate(vn, p.t)
-        z = abs(p.mean - ref) / p.stderr if p.stderr > 0 else 0.0
+        z = abs(p.mean - ref) / p.stderr if p.stderr > 0 else (0.0 if p.mean == ref else math.inf)
         worst = max(worst, z)
     return _result(
         "product_indicator_mean",

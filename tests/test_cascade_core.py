@@ -24,9 +24,11 @@ from riccati_cascade.cascade_core import (
     _MAX_COUNT_DEPTH,
     LeafCensus,
     _census_batch,
+    _level,
     _product_batch,
     _validate_horizon_depth,
 )
+from riccati_cascade.monte_carlo import _batch_size
 
 EXP = ClockSource.exponential()
 
@@ -172,6 +174,51 @@ def _reference_sample_product_indicator(
     if horizons.size == 0:
         return 1.0
     return float(np.prod(_x0_values(horizons)))
+
+
+def _reference_level(parents, width, sizes, alpha, clocks, streams):
+    """One level, vertex by vertex: each vertex of positive horizon draws its
+    own clock from its tree's stream; survivors keep alpha * (h - c)."""
+    survivors, alive, pos = [], [], 0
+    for k, size in enumerate(sizes):
+        kept = 0
+        for h in parents[pos:pos + size]:
+            for _ in range(width):
+                if h > 0.0:
+                    c = clocks.draw(streams[k], 1)[0]
+                    if c <= h:
+                        survivors.append(alpha * (h - c))
+                        kept += 1
+        alive.append(kept)
+        pos += size
+    return survivors, alive
+
+
+def _chernoff_cut(alpha, log_prob, cap):
+    """The Chernoff cut from the plain series over j, cut off after j = cap
+    (none when cap is None) or once theta * alpha**-j < 1e-12."""
+    best = math.inf
+    for theta in np.arange(0.05, 1.0, 0.05):
+        ln_c, j = 0.0, 0
+        while True:
+            s = theta * alpha ** (-j)
+            ln_c += s * j * math.log(2.0) + math.lgamma(1.0 - s)
+            j += 1
+            if s < 1e-12 or (cap is not None and j > cap):
+                break
+        best = min(best, (ln_c - log_prob) / theta)
+    return float(best)
+
+
+def _binomial_upper_quantile(n, p, rate):
+    """Smallest c with P(Binomial(n, p) > c) <= rate."""
+    pmf, cdf = (1.0 - p) ** n, 0.0
+    for c in range(n + 1):
+        cdf += pmf
+        if 1.0 - cdf <= rate:
+            return c
+        pmf *= (n - c) / (c + 1) * p / (1.0 - p)
+    return n
 
 
 def _next_draws(streams):
@@ -452,6 +499,29 @@ class TestTailFlags:
         se = math.sqrt(2.0 * 0.25 / n)
         assert abs(census_freq - flag_freq) < 5.0 * se
 
+    @pytest.mark.parametrize("alpha", [1.0005, 1.001])
+    def test_horizon_cut_bounds_the_uncapped_series(self, alpha):
+        # the series stops at j = 20,000 here; its closed-form remainder
+        # keeps the cut at or above the series summed until it converges
+        capped = _chernoff_cut(alpha, -70.0, 20_000)
+        uncapped = _chernoff_cut(alpha, -70.0, None)
+        assert capped < uncapped <= crossing_horizon_cut(alpha)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("log_prob", [-70.0, -3.0])
+    def test_horizon_cut_unchanged_where_the_series_converges(self, alpha, log_prob):
+        assert crossing_horizon_cut(alpha, log_prob) == _chernoff_cut(alpha, log_prob, 20_000)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 3.0])
+    def test_horizon_cut_is_conservative_for_sampled_trees(self, alpha):
+        # P(max path sum > cut) <= e**-3: the L flags at t = cut stay within
+        # the exact binomial bound (false-alarm rate 1e-4)
+        p, samples = params(alpha, seed=97), 2000
+        t = crossing_horizon_cut(alpha, -3.0)
+        hits = sum(sample_tail_flags(p, t, 30, EXP, derive_stream(p, i)).l_exceeds
+                   for i in range(samples))
+        assert hits <= _binomial_upper_quantile(samples, math.exp(-3.0), 1e-4)
+
     def test_horizon_cut_monotone_in_alpha(self):
         cuts = [crossing_horizon_cut(a) for a in (1.2, 1.5, 2.0, 3.0)]
         assert all(b <= a for a, b in zip(cuts, cuts[1:]))
@@ -524,6 +594,52 @@ class TestBatchCore:
                     ]
                     assert got.tolist() == want, (t, n, size)
                     assert _next_draws(got_streams) == _next_draws(want_streams)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("clocks", [EXP, ClockSource.constant(0.7)], ids=["exp", "const"])
+    def test_level_with_horizon_zero_entries_matches_per_vertex_draws(self, width, clocks):
+        # no sampler input reaches the horizon-0 mask with some horizons
+        # positive, so the level is built by hand: zero and positive
+        # horizons inside a tree and across trees, and a tree with none
+        p = params(1.5, seed=89)
+        parents = np.array([0.0, 1.3, 0.0, 0.7, 2.5, 0.0, 0.4, 0.0, 5.0, 0.7])
+        sizes = np.array([3, 0, 2, 1, 4, 0])
+        tree = np.repeat(np.arange(len(sizes)), sizes)
+        # all six trees; an empty tree and an all-positive one (no mask); a
+        # tree at horizon 0 alone (no clock drawn); zeros but no empty tree
+        for lo, hi in ((0, 6), (1, 3), (3, 4), (0, 1)):
+            part = parents[(tree >= lo) & (tree < hi)]
+            counts = sizes[lo:hi]
+            got_streams = [derive_stream(p, i) for i in range(len(counts))]
+            want_streams = [derive_stream(p, i) for i in range(len(counts))]
+            survivors, alive = _level(part, width, counts, 1.5, clocks, got_streams)
+            want_survivors, want_alive = _reference_level(part, width, counts, 1.5, clocks,
+                                                          want_streams)
+            assert survivors.tolist() == want_survivors, (lo, hi)
+            assert alive.tolist() == want_alive, (lo, hi)
+            assert _next_draws(got_streams) == _next_draws(want_streams)
+
+    @pytest.mark.parametrize("t", [2.0, 8.0])
+    def test_figures_shape_matches_per_tree_samplers(self, t):
+        # the shape `figures` runs: alpha = 1.5, n = 10, full sub-batches
+        size = _batch_size(10)
+        assert size == 32
+        p = params(1.5, seed=101)
+        for first in (0, size):
+            ids = range(first, first + size)
+            got_streams = [derive_stream(p, i) for i in ids]
+            want_streams = [derive_stream(p, i) for i in ids]
+            leaves, alive = _census_batch(p, t, 10, EXP, got_streams)
+            want = [_reference_leaf_census(p, t, 10, EXP, s) for s in want_streams]
+            assert np.array_equal(leaves, [c.leaves_by_depth for c in want])
+            assert np.array_equal(alive, [c.alive_by_depth for c in want])
+            assert _next_draws(got_streams) == _next_draws(want_streams)
+
+            got = _product_batch(p, t, 10, self.X0, EXP, got_streams)
+            want = [_reference_sample_product_indicator(p, t, 10, self.X0, EXP, s)
+                    for s in want_streams]
+            assert got.tolist() == want
+            assert _next_draws(got_streams) == _next_draws(want_streams)
 
     def test_public_samplers_are_batches_of_one(self):
         p = params(1.5, seed=79)

@@ -1,11 +1,14 @@
 """Contracts of the `check` suite's own statistics: the calibration check's
-false-alarm rate and power, and the pool use of the worker-invariance check."""
+false-alarm rate and power, the product check's stderr-0 points, and the pool
+use of the worker-invariance check."""
 
 import math
 
 import pytest
 
 from riccati_cascade import checks, monte_carlo
+from riccati_cascade.grid_numerics import evaluate, iterate_vn
+from riccati_cascade.monte_carlo import EstimatePoint, EstimateSeries
 
 
 class TestCiCalibration:
@@ -52,6 +55,19 @@ class TestCiCalibration:
         assert math.fsum(checks._binomial_pmf(k, 200, 0.3) for k in range(201)) == (
             pytest.approx(1.0, abs=1e-12)
         )
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.1])
+def test_product_check_scores_a_stderr_zero_point_by_exact_match(monkeypatch, offset):
+    # a point with stderr 0 passes only when it equals the iterate exactly
+    def exact_series(alpha, t_points, n, v0, cfg):
+        vn = iterate_vn(alpha, v0.grid, n, v0)
+        return EstimateSeries(tuple(EstimatePoint(t, evaluate(vn, t) + offset, 0.0, cfg.samples)
+                                    for t in t_points))
+
+    monkeypatch.setattr(checks, "estimate_v_curve", exact_series)
+    result = checks.check_product_indicator_mean(1.5, 21, 100)
+    assert result.passed == (offset == 0.0), result.detail
 
 
 def test_worker_invariance_maps_the_histogram_through_the_pool(monkeypatch):
