@@ -27,6 +27,7 @@ from .analysis_io import (
 from .cascade_core import (
     CascadeParams,
     ClockSource,
+    _census_batch,
     derive_stream,
     leaf_census,
     path_extrema_by_depth,
@@ -37,13 +38,15 @@ from .grid_numerics import (
     GridFunction,
     UniformGrid,
     convolve_kernel,
-    evaluate,
     iterate_qn,
     iterate_vn,
     picard_v0,
 )
 from .monte_carlo import (
     McConfig,
+    _batch_size,
+    _sub_batches,
+    compare_series,
     estimate_leaf_histogram,
     estimate_path_tails,
     estimate_v_curve,
@@ -59,18 +62,14 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, bool(passed), detail)
-
-
-def check_stream_determinism(seed: int) -> CheckResult:
+def check_stream_determinism(seed: int, draws: int = 64) -> CheckResult:
     params = CascadeParams(1.5, seed)
-    a = derive_stream(params, 0).standard_exponential(64)
-    b = derive_stream(params, 0).standard_exponential(64)
-    c = derive_stream(params, 1).standard_exponential(64)
+    a = derive_stream(params, 0).standard_exponential(draws)
+    b = derive_stream(params, 0).standard_exponential(draws)
+    c = derive_stream(params, 1).standard_exponential(draws)
     same = bool(np.array_equal(a, b))
     differs = bool(not np.array_equal(a, c))
-    return _result(
+    return CheckResult(
         "stream_determinism",
         same and differs,
         f"substream 0 replays identically: {same}; substream 1 differs: {differs}",
@@ -88,34 +87,42 @@ def check_sampler_determinism(seed: int) -> CheckResult:
         flags = sample_tail_flags(params, 2.0, 20, clocks, derive_stream(params, 7))
         runs.append((census.count_up_to(10), census.truncated_at(10), x, flags))
     ok = runs[0] == runs[1]
-    return _result("sampler_determinism", ok, f"two replays gave {runs[0]} and {runs[1]}")
+    return CheckResult("sampler_determinism", ok, f"two replays gave {runs[0]} and {runs[1]}")
+
+
+def _census_rows(params: CascadeParams, t: float, depth: int, samples: int):
+    """Leaves and alive vertices per depth of the trees on substreams
+    0..samples-1: row i is what `leaf_census` gives tree i."""
+    clocks = ClockSource.exponential()
+    batches = [_census_batch(params, t, depth, clocks, streams)
+               for streams in _sub_batches(params, 0, samples, _batch_size(depth))]
+    return tuple(np.concatenate(rows) for rows in zip(*batches))
+
+
+def _rows_with(bad: np.ndarray) -> int:
+    return int(np.count_nonzero(np.any(bad, axis=1)))
 
 
 def check_leaf_count_coupled_monotonicity(seed: int, samples: int) -> CheckResult:
-    params = CascadeParams(1.5, seed)
-    clocks = ClockSource.exponential()
-    violations = 0
-    for i in range(samples):
-        census = leaf_census(params, 2.0, 12, clocks, derive_stream(params, i))
-        counts = [census.count_up_to(n) for n in range(13)]
-        if any(b < a for a, b in zip(counts, counts[1:])):
-            violations += 1
-    return _result(
+    leaves, _ = _census_rows(CascadeParams(1.5, seed), 2.0, 12, samples)
+    counts = np.cumsum(leaves, axis=1)  # count_up_to(n) for n = 0..12
+    violations = _rows_with(counts[:, 1:] < counts[:, :-1])
+    return CheckResult(
         "leaf_count_coupled_monotonicity",
         violations == 0,
         f"{violations} monotonicity violations in {samples} coupled trees",
     )
 
 
-def check_path_extrema_monotonicity(seed: int, samples: int) -> CheckResult:
-    params = CascadeParams(1.5, seed)
+def check_path_extrema_monotonicity(seed: int, samples: int, alpha: float = 1.5) -> CheckResult:
+    params = CascadeParams(alpha, seed)
     clocks = ClockSource.exponential()
     bad = 0
     for i in range(samples):
         s, l = path_extrema_by_depth(params, 10, clocks, derive_stream(params, i))
         if np.any(np.diff(s) <= 0) or np.any(np.diff(l) <= 0) or np.any(s > l):
             bad += 1
-    return _result(
+    return CheckResult(
         "path_extrema_monotonicity",
         bad == 0,
         f"{bad} violations of s<=l / strict depth growth in {samples} trees",
@@ -138,7 +145,7 @@ def check_subcritical_survival_vanishes(seed: int, samples: int) -> CheckResult:
             freqs.append(hits / samples)
         ok = ok and freqs[1] >= freqs[0] - 3.0 / math.sqrt(samples) and freqs[1] > 0.9
         details.append(f"alpha={alpha}: P(S>2) {freqs[0]:.3f}->{freqs[1]:.3f}")
-    return _result("subcritical_survival_vanishes", ok, "; ".join(details))
+    return CheckResult("subcritical_survival_vanishes", ok, "; ".join(details))
 
 
 def check_product_indicator_mean(alpha: float, seed: int, samples: int) -> CheckResult:
@@ -149,15 +156,11 @@ def check_product_indicator_mean(alpha: float, seed: int, samples: int) -> Check
     vn = iterate_vn(alpha, grid, n, v0)
     cfg = McConfig(seed=seed, samples=samples, depth=n)
     series = estimate_v_curve(alpha, [1.0, 2.0, 4.0], n, v0, cfg)
-    worst = 0.0
-    for p in series.points:
-        ref = evaluate(vn, p.t)
-        z = abs(p.mean - ref) / p.stderr if p.stderr > 0 else (0.0 if p.mean == ref else math.inf)
-        worst = max(worst, z)
-    return _result(
+    report = compare_series(series, vn, z_threshold=5.0, min_fraction=1.0)
+    return CheckResult(
         "product_indicator_mean",
-        worst <= 5.0,
-        f"max |z| = {worst:.2f} over 3 points at {samples} samples (threshold 5)",
+        report.passed,
+        f"max |z| = {report.max_abs_z:.2f} over 3 points at {samples} samples (threshold 5)",
     )
 
 
@@ -170,9 +173,9 @@ def check_picard_monotone_in_k(alpha: float) -> CheckResult:
         if prev is not None:
             worst = max(worst, float(np.max(u - prev)))
         prev = u
-    return _result(
+    return CheckResult(
         "picard_monotone_in_k",
-        worst <= 1e-9,
+        worst <= 1e-12,
         f"max positive increment across k=0..8: {worst:.2e}",
     )
 
@@ -188,7 +191,7 @@ def check_q_iterates_decreasing(alpha: float) -> CheckResult:
         cur = levels[j].values
         worst = max(worst, float(np.max(cur - prev)))
         prev = cur
-    return _result(
+    return CheckResult(
         "q_iterates_decreasing",
         worst <= 1e-12,
         f"max positive increment across n=1..8: {worst:.2e} (seed q0=1)",
@@ -207,9 +210,9 @@ def check_range_and_boundaries(alpha: float) -> CheckResult:
         and float(np.max(qn.values)) <= 1.0
     )
     boundaries = qn.values[0] == 0.0 and vn.values[0] == 1.0
-    return _result(
+    return CheckResult(
         "range_and_boundaries",
-        in_range and boundaries,
+        bool(in_range and boundaries),
         f"iterates in [0,1]: {in_range}; q(0)={qn.values[0]}, v(0)={vn.values[0]}",
     )
 
@@ -222,23 +225,23 @@ def check_quadrature_order() -> CheckResult:
         g = convolve_kernel(ones, 1.0, grid)
         errs.append(float(np.max(np.abs(g.values - (1.0 - np.exp(-grid.nodes))))))
     ratio = errs[0] / errs[1]
-    return _result(
+    return CheckResult(
         "quadrature_order",
         3.5 <= ratio <= 4.5,
         f"halving the step changed the kernel error by x{ratio:.2f} ({errs[0]:.2e} -> {errs[1]:.2e})",
     )
 
 
-def check_q_dominated_by_seed(alpha: float) -> CheckResult:
+def check_q_dominated_by_seed(alpha: float, levels: int = 6) -> CheckResult:
     """Every iterate from the supersolution seed stays below the seed."""
     grid = UniformGrid(8.0, 0.01)
     q0 = GridFunction.constant(grid, 1.0)
-    _, levels = iterate_qn(alpha, grid, 6, q0, collect=set(range(1, 7)))
-    worst = max(float(np.max(levels[j].values - q0.values)) for j in range(1, 7))
-    return _result(
+    _, qs = iterate_qn(alpha, grid, levels, q0, collect=set(range(1, levels + 1)))
+    worst = max(float(np.max(qs[j].values - q0.values)) for j in range(1, levels + 1))
+    return CheckResult(
         "q_dominated_by_seed",
         worst <= 1e-12,
-        f"max excess over the seed across n=1..6: {worst:.2e}",
+        f"max excess over the seed across n=1..{levels}: {worst:.2e}",
     )
 
 
@@ -255,7 +258,7 @@ def check_worker_count_invariance(alpha: float, seed: int) -> CheckResult:
         hists.append(estimate_leaf_histogram(alpha, 2.0, 8, cfg))
     same_series = series[0] == series[1]
     same_hist = hists[0] == hists[1]
-    return _result(
+    return CheckResult(
         "worker_count_invariance",
         same_series and same_hist,
         f"series identical: {same_series}; histogram identical: {same_hist}",
@@ -323,7 +326,7 @@ def check_ci_calibration(seed: int, reps: int, samples: int) -> CheckResult:
     need_mean = _required_count(reps, _three_sigma_coverage(truth_mean, samples, 1),
                                 _CALIBRATION_RATE / 2)
     ok = covered_hist >= need_hist and covered_mean >= need_mean
-    return _result(
+    return CheckResult(
         "ci_calibration",
         ok,
         f"3-sigma coverage: histogram {covered_hist}/{reps} (need {need_hist}), "
@@ -332,27 +335,21 @@ def check_ci_calibration(seed: int, reps: int, samples: int) -> CheckResult:
     )
 
 
-def check_tail_domination(alpha: float, seed: int, samples: int) -> CheckResult:
+def check_tail_domination(
+    alpha: float, seed: int, samples: int, ts: tuple[float, ...] = (1.0, 2.0, 4.0)
+) -> CheckResult:
     """L-tail estimates dominate S-tail estimates pointwise (shared trees),
     and both indicator families are monotone in depth within one census."""
     cfg = McConfig(seed=seed, samples=samples, depth=12)
-    ts = [1.0, 2.0, 4.0]
     s_series, l_series = estimate_path_tails(alpha, ts, 12, cfg)
     dominated = bool(np.all(l_series.means() >= s_series.means()))
-    params = CascadeParams(alpha, seed)
-    clocks = ClockSource.exponential()
-    mono_bad = 0
-    for i in range(min(samples, 300)):
-        census = leaf_census(params, 2.0, 12, clocks, derive_stream(params, i))
-        s_flags = [not census.truncated_at(d) for d in range(13)]
-        l_flags = [census.crosses_by(d) for d in range(13)]
-        if any(b < a for a, b in zip(s_flags, s_flags[1:])):
-            mono_bad += 1
-        if any(b < a for a, b in zip(l_flags, l_flags[1:])):
-            mono_bad += 1
-        if any(s and not l for s, l in zip(s_flags, l_flags)):
-            mono_bad += 1
-    return _result(
+    leaves, alive = _census_rows(CascadeParams(alpha, seed), 2.0, 12, min(samples, 300))
+    s_flags = alive == 0  # not truncated_at(d) for d = 0..12
+    l_flags = np.cumsum(leaves, axis=1) > 0  # crosses_by(d)
+    mono_bad = (_rows_with(s_flags[:, :-1] & ~s_flags[:, 1:])
+                + _rows_with(l_flags[:, :-1] & ~l_flags[:, 1:])
+                + _rows_with(s_flags & ~l_flags))
+    return CheckResult(
         "tail_domination",
         dominated and mono_bad == 0,
         f"L>=S pointwise: {dominated}; census flag violations: {mono_bad}",
@@ -371,7 +368,7 @@ def check_heavy_tail_signature(seed: int, samples: int) -> CheckResult:
         means[i + 1] - means[i] > errs[i + 1] + errs[i] for i in range(2)
     )
     detail = ", ".join(f"n={d}: {m:.2f}+-{e:.2f}" for d, m, e in zip((5, 10, 15), means, errs))
-    return _result("heavy_tail_signature", ok, detail)
+    return CheckResult("heavy_tail_signature", ok, detail)
 
 
 def check_serialization_roundtrip(alpha: float, seed: int) -> CheckResult:
@@ -397,7 +394,7 @@ def check_serialization_roundtrip(alpha: float, seed: int) -> CheckResult:
             and hist_back.truncated_count == hist.truncated_count
             and not problems
         )
-    return _result(
+    return CheckResult(
         "serialization_roundtrip",
         ok,
         f"series/histogram round-trip exact and manifest verified ({len(problems)} problems)",

@@ -12,13 +12,10 @@ import time
 import numpy as np
 
 from riccati_cascade import (
-    CascadeParams,
-    ClockSource,
     GridFunction,
     McConfig,
     UniformGrid,
     compare_series,
-    derive_stream,
     estimate_leaf_histogram,
     estimate_path_tails,
     estimate_v_curve,
@@ -26,11 +23,17 @@ from riccati_cascade import (
     integrate_tail,
     iterate_qn,
     iterate_vn,
-    leaf_census,
-    path_extrema_by_depth,
     picard_v0,
 )
 from riccati_cascade.analysis_io import file_digest
+from riccati_cascade.checks import (
+    check_heavy_tail_signature,
+    check_leaf_count_coupled_monotonicity,
+    check_path_extrema_monotonicity,
+    check_picard_monotone_in_k,
+    check_q_dominated_by_seed,
+    check_q_iterates_decreasing,
+)
 from riccati_cascade.cli import main as cli_main
 from test_grid_numerics import literal_v_deviations
 
@@ -158,20 +161,14 @@ def test_criterion_06_heavy_tail_signature():
         hists[alpha] = estimate_leaf_histogram(alpha, 2.0, 10, cfg)
     max_ok = all(hists[1.5].max_observed > hists[a].max_observed for a in (0.66, 3.0))
     tail_ok = all(hists[1.5].count_at_least(64) > hists[a].count_at_least(64) for a in (0.66, 3.0))
-    means, errs = [], []
-    for depth in (5, 10, 15):
-        cfg = McConfig(seed=SEED + 2, samples=10_000, depth=depth)
-        h = estimate_leaf_histogram(1.5, 2.0, depth, cfg)
-        means.append(h.mean())
-        errs.append(h.stderr())
-    growth_ok = all(means[i + 1] - means[i] > errs[i + 1] + errs[i] for i in range(2))
+    growth = check_heavy_tail_signature(SEED + 2, 10_000)
     elapsed = time.perf_counter() - start
-    ok = max_ok and tail_ok and growth_ok and elapsed < 120.0
+    ok = max_ok and tail_ok and growth.passed and elapsed < 120.0
     report(6, "heavy-tail signature in the critical regime", ok,
            f"max per alpha {[hists[a].max_observed for a in (0.66, 1.5, 3.0)]}, "
            f">=64 counts {[hists[a].count_at_least(64) for a in (0.66, 1.5, 3.0)]}, "
-           f"means by depth {[f'{m:.1f}' for m in means]}, {elapsed:.0f}s")
-    assert max_ok and tail_ok and growth_ok
+           f"means by depth {growth.detail}, {elapsed:.0f}s")
+    assert max_ok and tail_ok and growth.passed
     assert elapsed < 120.0
 
 
@@ -201,44 +198,18 @@ def test_criterion_07_three_ordered_solutions():
 
 def test_criterion_08_monotonicity_suites():
     start = time.perf_counter()
-    violations = []
-
+    results = []
     for alpha in (1.5, 3.0):
-        prev = None
-        for k in range(9):
-            u = picard_v0(alpha, GRID, k).values
-            if prev is not None and np.max(u - prev) > 1e-12:
-                violations.append(f"picard k={k} alpha={alpha}")
-            prev = u
-
-        q0 = GridFunction.constant(GRID, 1.0)
-        _, levels = iterate_qn(alpha, GRID, 8, q0, collect=set(range(1, 9)))
-        prev_vals = q0.values
-        for j in range(1, 9):
-            if np.max(levels[j].values - prev_vals) > 1e-12:
-                violations.append(f"q-chain n={j} alpha={alpha}")
-            if np.max(levels[j].values - q0.values) > 1e-12:
-                violations.append(f"q-domination n={j} alpha={alpha}")
-            prev_vals = levels[j].values
-
-    params = CascadeParams(1.5, SEED + 5)
-    clocks = ClockSource.exponential()
-    for i in range(2000):
-        census = leaf_census(params, 2.0, 12, clocks, derive_stream(params, i))
-        counts = [census.count_up_to(n) for n in range(13)]
-        if any(b < a for a, b in zip(counts, counts[1:])):
-            violations.append(f"leaf-count sample {i}")
-
-    for i in range(500):
-        s, l = path_extrema_by_depth(params, 10, clocks, derive_stream(params, 10_000 + i))
-        if np.any(np.diff(s) <= 0) or np.any(np.diff(l) <= 0) or np.any(s > l):
-            violations.append(f"extrema sample {i}")
-
+        results += [check_picard_monotone_in_k(alpha), check_q_iterates_decreasing(alpha),
+                    check_q_dominated_by_seed(alpha, 8)]
+    results += [check_leaf_count_coupled_monotonicity(SEED + 5, 2000),
+                check_path_extrema_monotonicity(SEED + 5, 500)]
+    failed = [f"{r.name}: {r.detail}" for r in results if not r.passed]
     elapsed = time.perf_counter() - start
-    ok = not violations and elapsed < 120.0
+    ok = not failed and elapsed < 120.0
     report(8, "monotonicity suites", ok,
-           f"{len(violations)} violations, {elapsed:.0f}s")
-    assert violations == []
+           f"{len(results) - len(failed)} of {len(results)} checks passed, {elapsed:.1f}s")
+    assert failed == []
     assert elapsed < 120.0
 
 

