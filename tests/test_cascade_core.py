@@ -216,6 +216,18 @@ def _next_draws(streams):
 
 
 class TestDeriveStream:
+    def test_same_index_replays_identically(self):
+        p = params(1.5, seed=7)
+        a = derive_stream(p, 0).standard_exponential(100)
+        b = derive_stream(p, 0).standard_exponential(100)
+        assert np.array_equal(a, b)
+
+    def test_different_index_differs_in_first_draw(self):
+        p = params(1.5, seed=7)
+        a = derive_stream(p, 0).standard_exponential(1)
+        b = derive_stream(p, 1).standard_exponential(1)
+        assert a[0] != b[0]
+
     def test_substream_first_draws_all_distinct(self):
         # empirical collision check across 10^5 substreams
         p = params(1.5, seed=7)
