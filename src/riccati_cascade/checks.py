@@ -27,7 +27,6 @@ from .analysis_io import (
 from .cascade_core import (
     CascadeParams,
     ClockSource,
-    _census_batch,
     derive_stream,
     leaf_census,
     path_extrema_by_depth,
@@ -44,8 +43,7 @@ from .grid_numerics import (
 )
 from .monte_carlo import (
     McConfig,
-    _batch_size,
-    _sub_batches,
+    _census_rows,
     compare_series,
     estimate_leaf_histogram,
     estimate_path_tails,
@@ -62,11 +60,11 @@ class CheckResult:
     detail: str
 
 
-def check_stream_determinism(seed: int, draws: int = 64) -> CheckResult:
+def check_stream_determinism(seed: int) -> CheckResult:
     params = CascadeParams(1.5, seed)
-    a = derive_stream(params, 0).standard_exponential(draws)
-    b = derive_stream(params, 0).standard_exponential(draws)
-    c = derive_stream(params, 1).standard_exponential(draws)
+    a = derive_stream(params, 0).standard_exponential(64)
+    b = derive_stream(params, 0).standard_exponential(64)
+    c = derive_stream(params, 1).standard_exponential(64)
     same = bool(np.array_equal(a, b))
     differs = bool(not np.array_equal(a, c))
     return CheckResult(
@@ -90,21 +88,13 @@ def check_sampler_determinism(seed: int) -> CheckResult:
     return CheckResult("sampler_determinism", ok, f"two replays gave {runs[0]} and {runs[1]}")
 
 
-def _census_rows(params: CascadeParams, t: float, depth: int, samples: int):
-    """Leaves and alive vertices per depth of the trees on substreams
-    0..samples-1: row i is what `leaf_census` gives tree i."""
-    clocks = ClockSource.exponential()
-    batches = [_census_batch(params, t, depth, clocks, streams)
-               for streams in _sub_batches(params, 0, samples, _batch_size(depth))]
-    return tuple(np.concatenate(rows) for rows in zip(*batches))
-
-
 def _rows_with(bad: np.ndarray) -> int:
     return int(np.count_nonzero(np.any(bad, axis=1)))
 
 
 def check_leaf_count_coupled_monotonicity(seed: int, samples: int) -> CheckResult:
-    leaves, _ = _census_rows(CascadeParams(1.5, seed), 2.0, 12, samples)
+    leaves, _ = _census_rows(CascadeParams(1.5, seed), 2.0, 12, ClockSource.exponential(),
+                             0, samples)
     counts = np.cumsum(leaves, axis=1)  # count_up_to(n) for n = 0..12
     violations = _rows_with(counts[:, 1:] < counts[:, :-1])
     return CheckResult(
@@ -343,7 +333,8 @@ def check_tail_domination(
     cfg = McConfig(seed=seed, samples=samples, depth=12)
     s_series, l_series = estimate_path_tails(alpha, ts, 12, cfg)
     dominated = bool(np.all(l_series.means() >= s_series.means()))
-    leaves, alive = _census_rows(CascadeParams(alpha, seed), 2.0, 12, min(samples, 300))
+    leaves, alive = _census_rows(CascadeParams(alpha, seed), 2.0, 12, ClockSource.exponential(),
+                                 0, min(samples, 300))
     s_flags = alive == 0  # not truncated_at(d) for d = 0..12
     l_flags = np.cumsum(leaves, axis=1) > 0  # crosses_by(d)
     mono_bad = (_rows_with(s_flags[:, :-1] & ~s_flags[:, 1:])

@@ -246,15 +246,22 @@ def estimate_v_curve(
     return EstimateSeries(tuple(points))
 
 
+def _census_rows(
+    params: CascadeParams, t: float, depth: int, clocks: ClockSource, first: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leaves and alive vertices per depth of the trees on substreams
+    first..stop-1: row i is what `leaf_census` gives tree first + i."""
+    batches = [_census_batch(params, t, depth, clocks, streams)
+               for streams in _sub_batches(params, first, stop, _batch_size(depth))]
+    leaves, alive = zip(*batches)
+    return np.concatenate(leaves), np.concatenate(alive)
+
+
 def _hist_chunk(task) -> tuple[np.ndarray, int]:
     alpha, seed, t, depth, clocks, base_index, lo, hi = task
-    params = CascadeParams(alpha, seed)
-    counts, truncated = [], 0
-    for streams in _sub_batches(params, base_index + lo, base_index + hi, _batch_size(depth)):
-        leaves, alive = _census_batch(params, t, depth, clocks, streams)
-        counts.append(leaves.sum(axis=1))
-        truncated += int(np.count_nonzero(alive[:, depth]))
-    return np.concatenate(counts), truncated
+    leaves, alive = _census_rows(CascadeParams(alpha, seed), t, depth, clocks,
+                                 base_index + lo, base_index + hi)
+    return leaves.sum(axis=1), int(np.count_nonzero(alive[:, depth]))
 
 
 def estimate_leaf_histogram(

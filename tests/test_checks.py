@@ -46,7 +46,7 @@ def _row(check, *args):
 # calibration reps of 1000 samples, and the grid checks at more alphas;
 # acceptance criteria 06 and 08 call their checks at sizes of their own
 TIER1 = [
-    _row(checks.check_stream_determinism, 7, 100),
+    _row(checks.check_stream_determinism, 7),
     _row(checks.check_sampler_determinism, 8),
     _row(checks.check_leaf_count_coupled_monotonicity, 31, 500),
     _row(checks.check_path_extrema_monotonicity, 19, 500, 0.8),
