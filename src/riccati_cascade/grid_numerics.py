@@ -2,30 +2,35 @@
 
 Everything is built on one kernel map
 
-    K(f)(t) = int_0^t exp(-s) f(alpha (t - s)) ds
+    K(f)(t) = int_0^t exp(-u) f(alpha (t - u)) du
 
 evaluated by the composite trapezoidal rule on the grid nodes.  The three
-iterations:
+chains are one recursion in the complement variable,
 
-* Picard from 1:      U_k = K(U_{k-1}^2),            U_0 = 1
-  (decreases to the cumulative distribution of the longest path when
-  alpha > 1; the standard surrogate for the seed of the other two).
-* Explosion profile:  q_j = K(2 q_{j-1} - q_{j-1}^2)
-  (probability that some branch crosses the horizon at generation >= j).
-* Finiteness profile: v_j = exp(-t) + K(v_{j-1}^2), computed internally
-  in the complementary variable q = 1 - v, which is the same recursion
-  algebraically but keeps the quadrature error local in the tail (the
-  literal form integrates an O(1) bulk and its error floor, about
-  h^2/12, compounds through the squaring; see tests for the measured
-  O(h^2) correspondence between both forms).
+    q_j = clip(s + K(2 q_{j-1} - q_{j-1}^2)),
 
-For alpha > 1 the argument alpha*(t - s) leaves the requested grid, so the
-iterations run on an adaptively extended working grid: the extent doubles
-until the final iterate's tail (in the q variable) falls below eps_tail,
-at which point the flat extrapolation (0 for q-type, 1 for v-type) is
-certified to that accuracy.  Values are clipped into [0, 1] at every
-level; the trapezoid rule otherwise overshoots 1 by O(h^2) at large t and
-the excess compounds through the squaring.
+and differ only in the source s and the seed q_0:
+
+* Picard:      s = 1 - K(1), q_0 = 0, returned as U_k = 1 - q_k.  This is
+  U_k = K(U_{k-1}^2) from U_0 = 1, which decreases to the cumulative
+  distribution of the longest path when alpha > 1 (the standard surrogate
+  for the seed of the other two).  s equals exp(-t) up to the quadrature
+  error of K(1), which the U-form carries as well.
+* Explosion:   s = 0, q_0 as given; q_j is the probability that some branch
+  crosses the horizon at generation >= j.
+* Finiteness:  s = 0, q_0 = 1 - v_0, returned as v_j = 1 - q_j.  This is
+  v_j = exp(-t) + K(v_{j-1}^2) algebraically, but the q form keeps the
+  quadrature error local in the tail (the literal form integrates an O(1)
+  bulk and its error floor, about h^2/12, compounds through the squaring;
+  see tests for the measured O(h^2) correspondence between both forms).
+
+For alpha > 1 the argument alpha*(t - u) leaves the requested grid, so the
+chain runs on an adaptively extended working grid: the extent doubles
+until the final iterate's tail q falls below eps_tail, at which point the
+flat extrapolation q = 0 (U = v = 1) is certified to that accuracy.
+Values are clipped into [0, 1] at every level; the trapezoid rule
+otherwise overshoots by O(h^2) at large t and the excess compounds
+through the squaring.
 """
 
 from __future__ import annotations
@@ -239,7 +244,10 @@ def _extent_schedule(grid: UniformGrid, alpha: float, n_steps: int, expand_full:
     t_end = grid.t_end
     if alpha <= 1.0 or n_steps == 0:
         return [t_end], t_end
-    t_need = t_end * alpha**n_steps  # may overflow to inf; only used as a bound
+    try:  # only used as a bound, so an overflow stands as inf
+        t_need = t_end * alpha**n_steps
+    except OverflowError:
+        t_need = math.inf
     if expand_full:
         if not math.isfinite(t_need):
             raise GridMemoryError("full expansion requested but alpha**n * t_max overflows")
@@ -258,22 +266,24 @@ def _run_q_iteration(
     alpha: float,
     step: float,
     work_nodes: np.ndarray,
-    seed_eval,
+    seed: GridFunction,
+    source: np.ndarray | None,
     q: np.ndarray | None,
     first: int,
     n: int,
     collect: set[int] | None,
     n_base: int,
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Levels first..n of q -> clip(K(2q - q^2)) on the working nodes.
+    """Levels first..n of q -> clip(s + K(2q - q^2)) on the working nodes.
 
-    Level first-1 is `q` on the working nodes with tail 0, or, when q is
-    None, the seed that seed_eval(args) supplies through its own tail policy.
-    Collected levels are restricted to the first n_base+1 nodes.
+    s is `source` on the working nodes, or 0 when it is None.  Level first-1
+    is `q` on the working nodes with tail 0, or, when q is None, `seed`
+    through its own tail policy.  Collected levels are restricted to the
+    first n_base+1 nodes.
     """
     collected: dict[int, np.ndarray] = {}
     for j in range(first, n + 1):
-        g = seed_eval(alpha * work_nodes) if q is None else _advanced(q, work_nodes, alpha)
+        g = evaluate(seed, alpha * work_nodes) if q is None else _advanced(q, work_nodes, alpha)
         q = None  # drop the previous level before the scan
         gg = g * g  # 2g - g^2 in place, in the same operation order
         g *= 2.0
@@ -281,6 +291,8 @@ def _run_q_iteration(
         del gg
         q = _trapezoid_convolve(g, step)
         del g
+        if source is not None:
+            q += source
         np.clip(q, 0.0, 1.0, out=q)
         if collect and j in collect:
             collected[j] = q[: n_base + 1].copy()
@@ -300,34 +312,30 @@ def _advanced(q: np.ndarray, nodes: np.ndarray, alpha: float) -> np.ndarray:
     return g
 
 
-def _array_interp(nodes: np.ndarray, values: np.ndarray, tail: float):
-    def _eval(args: np.ndarray) -> np.ndarray:
-        return np.interp(args, nodes, values, right=tail)
-
-    return _eval
-
-
 def _adaptive_levels(
     alpha: float,
     grid: UniformGrid,
     levels: Iterable[int],
-    seed_eval,
+    seed: GridFunction,
     eps_tail: float,
     node_cap: int,
     expand_full: bool = False,
     collect: set[int] | None = None,
+    picard_source: bool = False,
 ):
     """Adaptively extended q-iteration; yields (n, values on `grid`, collected).
 
-    For each n of the increasing `levels`, the extents of `_extent_schedule`
-    are tried in order until the final iterate's tail value drops below
-    eps_tail (or the last extent is reached), certifying the flat tail
-    extrapolation used beyond the working grid.  Each extent keeps the last
-    level it reached and a later n continues from there: a level on an
-    extent depends only on the seed, the extent and the level, so resuming
-    gives a fresh run's values bit for bit.  Collected levels come from the
-    steps run for that n; the yielded values are a view that the next n
-    overwrites.
+    The chain starts from `seed`, a q-variable function.  With
+    `picard_source` every step adds s = 1 - K(1) on the working nodes, which
+    makes it the Picard chain in q = 1 - U; otherwise s = 0.  For each n of
+    the increasing `levels`, the extents of `_extent_schedule` are tried in
+    order until the final iterate's tail value drops below eps_tail (or the
+    last extent is reached), certifying the flat tail extrapolation used
+    beyond the working grid.  Each extent keeps the last level it reached
+    and a later n continues from there: a level on an extent depends only on
+    the seed, the extent and the level, so resuming gives a fresh run's
+    values bit for bit.  Collected levels come from the steps run for that
+    n; the yielded values are a view that the next n overwrites.
     """
     n_base = grid.node_count - 1
     step = grid.step
@@ -342,9 +350,10 @@ def _adaptive_levels(
             del chains[t_end]
         for i, t_end in enumerate(extents):
             j, kept = chains.get(t_end, (0, None))
+            work_nodes = _working_nodes(t_end, step, node_cap)
+            s = 1.0 - _trapezoid_convolve(np.ones_like(work_nodes), step) if picard_source else None
             q, collected = _run_q_iteration(
-                alpha, step, _working_nodes(t_end, step, node_cap), seed_eval, kept,
-                j + 1, n, collect, n_base,
+                alpha, step, work_nodes, seed, s, kept, j + 1, n, collect, n_base
             )
             if kept is None:
                 kept = q
@@ -365,12 +374,13 @@ def picard_v0(
     node_cap: int = DEFAULT_NODE_CAP,
     expand_full: bool = False,
 ) -> GridFunction:
-    """k-th Picard iterate from the constant 1 under U -> K(U^2).
+    """k-th Picard iterate U_k = K(U_{k-1}^2) from U_0 = 1.
 
-    For alpha > 1 the iterates decrease pointwise to the distribution
-    function of the longest path; the working grid is extended until the
-    iterate's complement falls below eps_tail at the far end.  The result
-    is restricted to `grid` with flat tail 1.
+    Runs as the q-chain from q_0 = 0 with source s = 1 - K(1) and returns
+    U_k = 1 - q_k.  For alpha > 1 the iterates decrease pointwise to the
+    distribution function of the longest path; the working grid is extended
+    until q_k falls below eps_tail at the far end.  The result is restricted
+    to `grid` with flat tail 1.
     """
     if alpha <= 0.0 or not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
@@ -378,19 +388,11 @@ def picard_v0(
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return GridFunction.constant(grid, 1.0)
-    n_base = grid.node_count - 1
-    extents, _ = _extent_schedule(grid, alpha, k, expand_full)
-    step = grid.step
-    for i, t_end in enumerate(extents):
-        work_nodes = _working_nodes(t_end, step, node_cap)
-        u = np.ones_like(work_nodes)
-        tail = 1.0
-        for _ in range(k):
-            g = np.interp(alpha * work_nodes, work_nodes, u, right=tail)
-            u = np.clip(_trapezoid_convolve(g * g, step), 0.0, 1.0)
-        if i == len(extents) - 1 or float(1.0 - u[-1]) < eps_tail:
-            return GridFunction(grid, u[: n_base + 1].copy(), 1.0, range_bounds=True)
-    raise AssertionError("unreachable")
+    _, vals, _ = next(_adaptive_levels(
+        alpha, grid, (k,), GridFunction.constant(grid, 0.0), eps_tail, node_cap, expand_full,
+        picard_source=True,
+    ))
+    return GridFunction(grid, 1.0 - vals, 1.0, range_bounds=True)
 
 
 def iterate_qn(
@@ -406,23 +408,25 @@ def iterate_qn(
     """n steps of q_j = K(2 q_{j-1} - q_{j-1}^2) from q0, restricted to `grid`.
 
     q_j(0) = 0 exactly for j >= 1 and every iterate stays in [0, 1].  With
-    `collect`, the requested intermediate levels are returned as well; they
-    come from the chain on the working-grid extent certified for `n`.
-    Seeding from a supersolution (e.g. the constant 1) yields a pointwise
-    nonincreasing sequence; seeding from a longest-path surrogate converges
-    to the explosion probability but may locally increase in the far tail,
-    where the surrogate undershoots.
+    `collect` (levels in 1..n), the result is a pair: the iterate and the
+    requested intermediate levels, which come from the chain on the
+    working-grid extent certified for `n`.  Seeding from a supersolution
+    (e.g. the constant 1) yields a pointwise nonincreasing sequence; seeding
+    from a longest-path surrogate converges to the explosion probability but
+    may locally increase in the far tail, where the surrogate undershoots.
     """
     if alpha <= 0.0 or not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     _require_probability_values(q0, "q0")
+    outside = sorted(j for j in collect or () if not 1 <= j <= n)
+    if outside:
+        raise ValueError(f"collect levels must lie in 1..{n}, got {outside}")
     if n == 0:
-        return q0 if not collect else (q0, {})
-    seed_eval = _array_interp(q0.grid.nodes, q0.values, q0.tail_value)
+        return q0 if collect is None else (q0, {})
     _, vals, collected = next(
-        _adaptive_levels(alpha, grid, (n,), seed_eval, eps_tail, node_cap, expand_full, collect)
+        _adaptive_levels(alpha, grid, (n,), q0, eps_tail, node_cap, expand_full, collect)
     )
     result = GridFunction(grid, vals, 0.0, range_bounds=True)
     if collect is None:
@@ -449,8 +453,7 @@ def iterate_qn_levels(
     if alpha <= 0.0 or not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     _require_probability_values(q0, "q0")
-    seed_eval = _array_interp(q0.grid.nodes, q0.values, q0.tail_value)
-    chain = _adaptive_levels(alpha, grid, levels, seed_eval, eps_tail, node_cap)
+    chain = _adaptive_levels(alpha, grid, levels, q0, eps_tail, node_cap)
     return ((n, GridFunction(grid, vals, 0.0, range_bounds=True)) for n, vals, _ in chain)
 
 
@@ -465,9 +468,10 @@ def iterate_vn(
 ) -> GridFunction:
     """n steps of v_j = exp(-t) + K(v_{j-1}^2) from v0, restricted to `grid`.
 
-    Computed in the complementary variable q = 1 - v (identical recursion
-    algebraically; numerically stable in the tail).  v_j(0) = 1 exactly for
-    j >= 1 and every iterate stays in [0, 1].
+    Runs as the q-chain from q_0 = 1 - v0 with no source and returns
+    v_n = 1 - q_n (the same recursion algebraically; numerically stable in
+    the tail).  v_j(0) = 1 exactly for j >= 1 and every iterate stays in
+    [0, 1].
     """
     if alpha <= 0.0 or not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
@@ -476,13 +480,8 @@ def iterate_vn(
     _require_probability_values(v0, "v0")
     if n == 0:
         return v0
-    v0_nodes, v0_vals, v0_tail = v0.grid.nodes, v0.values, v0.tail_value
-
-    def seed_eval(args: np.ndarray) -> np.ndarray:
-        return 1.0 - np.interp(args, v0_nodes, v0_vals, right=v0_tail)
-
     _, vals, _ = next(
-        _adaptive_levels(alpha, grid, (n,), seed_eval, eps_tail, node_cap, expand_full)
+        _adaptive_levels(alpha, grid, (n,), v0.complement(), eps_tail, node_cap, expand_full)
     )
     return GridFunction(grid, 1.0 - vals, 1.0, range_bounds=True)
 

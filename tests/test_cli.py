@@ -155,6 +155,12 @@ class TestUsage:
         assert err.startswith("error: ") and "--eps-tail" in err and "\n" not in err
         assert not (tmp_path / "qn").exists()
 
+    def test_depth_past_float_overflow_of_the_expansion_bound(self, tmp_path, capsys):
+        # 3.0**700 overflows; the adaptive extents still certify the chain
+        assert run(tmp_path, "qn", "--alpha", "3", "--depth", "700", "--step", "0.1",
+                   "--seed", "1") == 0
+        assert "n=700" in capsys.readouterr().out
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "riccati-cascade" in capsys.readouterr().out

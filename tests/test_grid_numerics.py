@@ -193,6 +193,39 @@ class TestPicard:
         with pytest.raises(ValueError):
             picard_v0(1.5, GRID, -1)
 
+    @pytest.mark.parametrize("alpha", [0.66, 1.0, 1.5, 3.0])
+    def test_matches_u_form_reference(self, alpha, monkeypatch):
+        # the q-chain with source 1 - K(1) is the U-form up to rounding, and
+        # its certificate q[-1] < eps_tail accepts the same working grid
+        runs = _spy_steps(monkeypatch)
+        for k in (1, 5, 9):
+            runs.clear()
+            expected, tried = _reference_picard(alpha, GRID, k)
+            u = picard_v0(alpha, GRID, k)
+            assert np.max(np.abs(u.values - expected)) <= 1e-12, k
+            assert u.tail_value == 1.0
+            assert runs == [(nodes, 1, k) for nodes in tried], k
+
+
+def _reference_picard(alpha, grid, k, eps_tail=grid_numerics.DEFAULT_EPS_TAIL):
+    """Picard by its own U-form loop, U <- clip(K(U^2)) with tail 1.
+
+    Returns the values on `grid` and the node counts of the working grids
+    tried, the accepted one last (accepted when 1 - U < eps_tail at its end).
+    """
+    extents, _ = grid_numerics._extent_schedule(grid, alpha, k, False)
+    tried = []
+    for t_end in extents:
+        work_nodes = grid_numerics._working_nodes(t_end, grid.step, grid_numerics.DEFAULT_NODE_CAP)
+        tried.append(len(work_nodes))
+        u = np.ones_like(work_nodes)
+        for _ in range(k):
+            g = np.interp(alpha * work_nodes, work_nodes, u, right=1.0)
+            u = np.clip(_trapezoid_convolve(g * g, grid.step), 0.0, 1.0)
+        if 1.0 - u[-1] < eps_tail:
+            break
+    return u[: grid.node_count], tried
+
 
 class TestIterateVn:
     def test_n0_returns_seed_unchanged(self):
@@ -274,6 +307,19 @@ class TestIterateQn:
         assert set(levels) == {2, 5, 8}
         assert np.array_equal(levels[8].values, q8.values)
 
+    def test_collect_result_is_a_pair_at_every_n(self):
+        q0 = GridFunction.constant(GRID, 1.0)
+        for n in (0, 1, 3):
+            assert isinstance(iterate_qn(1.5, GRID, n, q0), GridFunction)
+            q, levels = iterate_qn(1.5, GRID, n, q0, collect=set())
+            assert levels == {}
+            assert np.array_equal(q.values, iterate_qn(1.5, GRID, n, q0).values)
+
+    @pytest.mark.parametrize("n, collect", [(3, {0, 2, 5}), (3, {4}), (3, {-1}), (0, {1})])
+    def test_collect_outside_the_levels_is_rejected(self, n, collect):
+        with pytest.raises(ValueError, match="collect"):
+            iterate_qn(1.5, GRID, n, GridFunction.constant(GRID, 1.0), collect=collect)
+
     @pytest.mark.parametrize("alpha", [0.66, 1.0, 1.2, 2.5])
     def test_blocked_interpolation_is_np_interp(self, alpha):
         rng = np.random.default_rng(5)
@@ -325,12 +371,24 @@ def _spy_steps(monkeypatch):
     runs = []
     real = grid_numerics._run_q_iteration
 
-    def spy(alpha, step, work_nodes, seed_eval, q, first, n, *rest):
+    def spy(alpha, step, work_nodes, seed, source, q, first, n, *rest):
         runs.append((len(work_nodes), first, n))
-        return real(alpha, step, work_nodes, seed_eval, q, first, n, *rest)
+        return real(alpha, step, work_nodes, seed, source, q, first, n, *rest)
 
     monkeypatch.setattr(grid_numerics, "_run_q_iteration", spy)
     return runs
+
+
+@pytest.mark.parametrize("chain", [
+    lambda: picard_v0(1.5, GRID, 4),
+    lambda: iterate_vn(1.5, GRID, 4, GridFunction.constant(GRID, 0.5)),
+    lambda: iterate_qn(1.5, GRID, 4, GridFunction.constant(GRID, 0.5)),
+], ids=["picard_v0", "iterate_vn", "iterate_qn"])
+def test_every_chain_steps_through_the_one_loop(chain, monkeypatch):
+    # iterate_qn_levels is spied on in TestIterateQnLevels
+    runs = _spy_steps(monkeypatch)
+    chain()
+    assert runs and runs[0][1] == 1 and runs[-1][2] == 4
 
 
 class TestIterateQnLevels:
@@ -498,3 +556,14 @@ class TestWorkingGridLimits:
         q0 = GridFunction.constant(GRID, 1.0)
         with pytest.raises(GridMemoryError):
             iterate_qn(3.0, GRID, 20, q0, expand_full=True)
+
+    def test_overflowing_expansion_bound_still_runs_adaptively(self):
+        # 3.0**700 overflows a float: the doubling schedule runs against an
+        # infinite bound and certifies an extent; only the full expansion fails
+        grid = UniformGrid(8.0, 0.1)
+        u = picard_v0(3.0, grid, 700)
+        q = iterate_qn(3.0, grid, 700, u.complement())
+        assert u.values[0] == 0.0 and q.values[0] == 0.0
+        assert np.all(np.diff(u.values) >= -1e-12)
+        with pytest.raises(GridMemoryError):
+            picard_v0(3.0, grid, 700, expand_full=True)
