@@ -7,14 +7,13 @@ routes (Monte Carlo vs deterministic quadrature) with seeded, worker-count
 independent reproducibility.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .cascade_core import (
     CascadeParams,
     ClockSource,
     LeafCensus,
     SamplerCapError,
-    TailFlags,
     crossing_horizon_cut,
     derive_stream,
     leaf_census,
@@ -55,7 +54,6 @@ __all__ = [
     "ClockSource",
     "LeafCensus",
     "SamplerCapError",
-    "TailFlags",
     "crossing_horizon_cut",
     "derive_stream",
     "leaf_census",

@@ -4,9 +4,10 @@ The cascade is the random binary tree in which the edge below a depth-j
 vertex carries an independent clock scaled by alpha**-j.  A vertex whose
 cumulative path time first exceeds the horizon t is a "t-leaf"; the tree
 is never materialized, only the alive region (vertices whose cumulative
-time stays <= t) is traversed, one level at a time.  The census and the
-product recursion move a batch of trees down together, each tree drawing
-its clocks from its own stream exactly as it would alone.
+time stays <= t) is traversed, one level at a time.  The census, the
+product recursion and the tail-flag walk move a batch of trees down
+together, each tree drawing its clocks from its own stream exactly as it
+would alone.
 
 All samplers are pure functions of (params, inputs, stream state).  Use
 :func:`derive_stream` to obtain independent substreams that depend only on
@@ -26,7 +27,6 @@ __all__ = [
     "ClockSource",
     "SamplerCapError",
     "LeafCensus",
-    "TailFlags",
     "derive_stream",
     "leaf_census",
     "path_extrema_by_depth",
@@ -38,12 +38,11 @@ __all__ = [
 _MAX_COUNT_DEPTH = 62  # leaf counts live in int64; 2**depth must fit
 _MAX_EXTREMA_DEPTH = 22  # exact extrema hold all 2**depth path sums in memory
 _DEFAULT_FRONTIER_CAP = 1 << 24
-_DEFAULT_VISIT_CAP = 50_000_000
-_CLOCK_BLOCK = 256
+_SURVIVAL_MASS = 70.0  # certifies a survivor up to probability exp(-70), as the cut does
 
 
 class SamplerCapError(RuntimeError):
-    """Raised when a sampler's alive frontier or visit count exceeds its cap."""
+    """Raised when a sampler's alive frontier exceeds its cap."""
 
 
 @dataclass(frozen=True)
@@ -87,14 +86,6 @@ class ClockSource:
         return np.full(n, self.value, dtype=float)
 
 
-@dataclass(frozen=True)
-class TailFlags:
-    """Joint indicators for one tree: min path sum > t, max path sum > t."""
-
-    s_exceeds: bool
-    l_exceeds: bool
-
-
 class LeafCensus:
     """Per-depth census of one simulated tree, truncated at `depth`.
 
@@ -123,10 +114,6 @@ class LeafCensus:
         if not 0 <= n <= self.depth:
             raise ValueError(f"threshold {n} outside censused range 0..{self.depth}")
         return bool(self.alive_by_depth[n] > 0)
-
-    def crosses_by(self, n: int) -> bool:
-        """True iff some path crossed the horizon at generation <= n."""
-        return self.count_up_to(n) > 0
 
 
 def derive_stream(params: CascadeParams, sample_index: int) -> np.random.Generator:
@@ -376,68 +363,82 @@ def crossing_horizon_cut(alpha: float, log_prob: float = -70.0) -> float:
     return float(best)
 
 
+def _survival_mass(parents, width, sizes, clocks_left, alpha) -> np.ndarray:
+    """Per tree, a lower bound on the expected number of frontier vertices
+    with a path that survives m = `clocks_left` more exponential clocks.
+
+    A path below horizon h survives iff sum_j alpha**-j c_j <= h, so it does
+    when its Gamma(m, 1) clock sum is at most x = h min(1, alpha**(m-1)).
+    With t_i = e**-x x**i / i!, that has probability sum_{i >= m} t_i >= t_m,
+    or 1 - sum_{i < m} t_i >= 1 - t_{m-1} x / (x - m + 1) for x > m - 1.
+    """
+    m = clocks_left
+    x = parents * (alpha ** (m - 1) if alpha < 1.0 else 1.0)
+    with np.errstate(divide="ignore"):  # log(0) = -inf at horizon 0, where t_i = 0
+        t_last = np.exp((m - 1) * np.log(x) - x - math.lgamma(m)) if m > 1 else np.exp(-x)
+    p = t_last * x / m
+    bulk = x > m - 1
+    p[bulk] = np.maximum(p[bulk], 1.0 - t_last[bulk] * x[bulk] / (x[bulk] - (m - 1)))
+    return width * np.bincount(np.arange(len(sizes)).repeat(sizes), p, len(sizes))
+
+
+def _tail_batch(
+    params: CascadeParams,
+    t: float,
+    depth: int,
+    clocks: ClockSource,
+    streams: list,
+    frontier_cap: int = _DEFAULT_FRONTIER_CAP,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flags {min path sum > t} and {max path sum > t}, one tree per stream.
+
+    The trees go down their alive regions as in the census.  A tree is
+    crossed once a vertex is a leaf, and alive once a vertex survives at
+    `depth`.  Two bounds, each wrong with probability at most exp(-70),
+    mark a tree alive without a draw: for alpha > 1 a vertex beyond
+    :func:`crossing_horizon_cut`, which survives and never crosses, and
+    under exponential clocks a frontier whose survival mass (independent
+    subtrees) reaches 70.  A tree with both flags draws no further clocks.
+    Returns two boolean arrays, (s_exceeds, l_exceeds).
+    """
+    _validate_horizon_depth(t, depth, 2**31)
+    n_trees = len(streams)
+    cut = crossing_horizon_cut(params.alpha) if params.alpha > 1.0 else math.inf
+    crossed = np.zeros(n_trees, dtype=bool)
+    alive = np.zeros(n_trees, dtype=bool)
+    parents, width, sizes = np.full(n_trees, float(t)), 1, np.ones(n_trees, dtype=np.int64)
+    for d in range(depth + 1):
+        beyond = parents > cut
+        if beyond.any():
+            alive |= _keep(parents, beyond, sizes)[1] > 0
+            parents, sizes = _keep(parents, ~beyond, sizes)
+        if clocks.mode == "exponential" and (width * sizes[~alive]).max(initial=0) >= _SURVIVAL_MASS:
+            mass = _survival_mass(parents, width, sizes, depth - d + 1, params.alpha)
+            alive |= mass >= _SURVIVAL_MASS
+        done = crossed & alive
+        if sizes[done].any():
+            parents, sizes = _keep(parents, ~done.repeat(sizes), sizes)
+        if parents.size == 0:
+            break
+        entered = width * sizes
+        parents, sizes = _level(parents, width, sizes, params.alpha, clocks, streams)
+        crossed |= sizes < entered
+        if d < depth:
+            _check_frontier(parents.size, sizes, frontier_cap, d + 1)
+        width = 2
+    return ~alive & (sizes == 0), crossed  # sizes counts the survivors at `depth`, if any
+
+
 def sample_tail_flags(
     params: CascadeParams,
     t: float,
     depth: int,
     clocks: ClockSource,
     stream: np.random.Generator,
-    visit_cap: int = _DEFAULT_VISIT_CAP,
-) -> TailFlags:
-    """Joint indicators {min path sum > t} and {max path sum > t} for one tree.
-
-    Depth-first search with early exit: the max exceeds t as soon as any
-    vertex crosses its horizon, the min exceeds t only when no path stays
-    alive through `depth`.  For alpha > 1, a subtree whose local horizon
-    is beyond :func:`crossing_horizon_cut` survives and never crosses, up
-    to probability exp(-70); it is resolved without descent, which keeps
-    the search polynomial at any depth.  Both flags come from the same
-    tree, so {min > t} implies {max > t} sample by sample.
-
-    Clocks are drawn in blocks of 256 and consumed in visit order, so the
-    flags and the stream position after the call depend only on the tree.
-    """
-    _validate_horizon_depth(t, depth, 2**31)
-    alpha = params.alpha
-    if t == 0.0:
-        return TailFlags(True, True)  # all clocks are positive
-    cut = crossing_horizon_cut(alpha) if alpha > 1.0 else math.inf
-    block = clocks.draw(stream, _CLOCK_BLOCK).tolist()
-    pos = 0
-    crossing_found = False
-    alive_found = False
-    visits = 0
-    stack = [(float(t), 0)]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        if crossing_found and alive_found:
-            break
-        horizon, d = pop()
-        visits += 1
-        if visits > visit_cap:
-            raise SamplerCapError(
-                f"tail-flag search exceeded {visit_cap} vertex visits; "
-                "raise visit_cap or reduce depth"
-            )
-        if horizon == 0.0:
-            crossing_found = True  # horizon-0 vertex is a leaf
-            continue
-        if horizon > cut:
-            alive_found = True  # crossing probability below exp(-70)
-            continue
-        if pos == _CLOCK_BLOCK:
-            block = clocks.draw(stream, _CLOCK_BLOCK).tolist()
-            pos = 0
-        clock = block[pos]
-        pos += 1
-        if clock > horizon:
-            crossing_found = True
-            continue
-        if d == depth:
-            alive_found = True
-            continue
-        child = (alpha * (horizon - clock), d + 1)
-        push(child)
-        push(child)
-    return TailFlags(not alive_found, crossing_found)
+    frontier_cap: int = _DEFAULT_FRONTIER_CAP,
+) -> tuple[bool, bool]:
+    """Joint indicators (min path sum > t, max path sum > t) for one tree, a
+    batch of one of the tail-flag walk.  Both come from the same tree, so
+    {min > t} implies {max > t} sample by sample."""
+    s_exceeds, l_exceeds = _tail_batch(params, t, depth, clocks, [stream], frontier_cap)
+    return bool(s_exceeds[0]), bool(l_exceeds[0])

@@ -121,18 +121,14 @@ def check_path_extrema_monotonicity(seed: int, samples: int, alpha: float = 1.5)
 
 def check_subcritical_survival_vanishes(seed: int, samples: int) -> CheckResult:
     """For alpha <= 1 the min path sum exceeds any fixed t as depth grows."""
-    clocks = ClockSource.exponential()
     details = []
     ok = True
     for alpha in (0.66, 1.0):
-        params = CascadeParams(alpha, seed)
         freqs = []
         for depth in (8, 24):
-            hits = sum(
-                sample_tail_flags(params, 2.0, depth, clocks, derive_stream(params, i)).s_exceeds
-                for i in range(samples)
-            )
-            freqs.append(hits / samples)
+            cfg = McConfig(seed=seed, samples=samples, depth=depth)
+            s_series, _ = estimate_path_tails(alpha, [2.0], depth, cfg)
+            freqs.append(s_series.points[0].mean)
         ok = ok and freqs[1] >= freqs[0] - 3.0 / math.sqrt(samples) and freqs[1] > 0.9
         details.append(f"alpha={alpha}: P(S>2) {freqs[0]:.3f}->{freqs[1]:.3f}")
     return CheckResult("subcritical_survival_vanishes", ok, "; ".join(details))
@@ -336,7 +332,7 @@ def check_tail_domination(
     leaves, alive = _census_rows(CascadeParams(alpha, seed), 2.0, 12, ClockSource.exponential(),
                                  0, min(samples, 300))
     s_flags = alive == 0  # not truncated_at(d) for d = 0..12
-    l_flags = np.cumsum(leaves, axis=1) > 0  # crosses_by(d)
+    l_flags = np.cumsum(leaves, axis=1) > 0  # some leaf at depth <= d
     mono_bad = (_rows_with(s_flags[:, :-1] & ~s_flags[:, 1:])
                 + _rows_with(l_flags[:, :-1] & ~l_flags[:, 1:])
                 + _rows_with(s_flags & ~l_flags))

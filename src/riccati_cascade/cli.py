@@ -412,8 +412,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if not (math.isfinite(args.eps_tail) and args.eps_tail > 0.0):
-            raise ValueError(f"--eps-tail must be finite and > 0, got {args.eps_tail}")
+        if not 0.0 < args.eps_tail < 1.0:  # a tail of 1 or more certifies every extent
+            raise ValueError(f"--eps-tail must be in (0, 1), got {args.eps_tail}")
         return _HANDLERS[args.command](args)
     except (ValueError, GridMemoryError, SamplerCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

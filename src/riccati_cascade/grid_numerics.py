@@ -266,7 +266,7 @@ def _run_q_iteration(
     alpha: float,
     step: float,
     work_nodes: np.ndarray,
-    seed: GridFunction,
+    seed: GridFunction | None,
     source: np.ndarray | None,
     q: np.ndarray | None,
     first: int,
@@ -316,7 +316,7 @@ def _adaptive_levels(
     alpha: float,
     grid: UniformGrid,
     levels: Iterable[int],
-    seed: GridFunction,
+    seed: GridFunction | None,
     eps_tail: float,
     node_cap: int,
     expand_full: bool = False,
@@ -325,17 +325,18 @@ def _adaptive_levels(
 ):
     """Adaptively extended q-iteration; yields (n, values on `grid`, collected).
 
-    The chain starts from `seed`, a q-variable function.  With
-    `picard_source` every step adds s = 1 - K(1) on the working nodes, which
-    makes it the Picard chain in q = 1 - U; otherwise s = 0.  For each n of
-    the increasing `levels`, the extents of `_extent_schedule` are tried in
-    order until the final iterate's tail value drops below eps_tail (or the
-    last extent is reached), certifying the flat tail extrapolation used
-    beyond the working grid.  Each extent keeps the last level it reached
-    and a later n continues from there: a level on an extent depends only on
-    the seed, the extent and the level, so resuming gives a fresh run's
-    values bit for bit.  Collected levels come from the steps run for that
-    n; the yielded values are a view that the next n overwrites.
+    The chain starts from `seed`, a q-variable function, with s = 0.  With
+    `picard_source` and no seed, every step adds s = 1 - K(1) on the working
+    nodes: the Picard chain in q = 1 - U from q_0 = 0, whose level 1 is
+    clip(s) and is not collected.  For each n of the increasing `levels`,
+    the extents of `_extent_schedule` are tried in order until the final
+    iterate's tail value drops below eps_tail (or the last extent is
+    reached), certifying the flat tail extrapolation used beyond the
+    working grid.  Each extent keeps the last level it reached and a later
+    n continues from there: a level on an extent depends only on the seed,
+    the extent and the level, so resuming gives a fresh run's values bit
+    for bit.  Collected levels come from the steps run for that n; the
+    yielded values are a view that the next n overwrites.
     """
     n_base = grid.node_count - 1
     step = grid.step
@@ -352,6 +353,8 @@ def _adaptive_levels(
             j, kept = chains.get(t_end, (0, None))
             work_nodes = _working_nodes(t_end, step, node_cap)
             s = 1.0 - _trapezoid_convolve(np.ones_like(work_nodes), step) if picard_source else None
+            if picard_source and kept is None:  # q_1 = clip(s + K(0)) and K(0) = 0
+                j, kept = 1, np.clip(s, 0.0, 1.0)
             q, collected = _run_q_iteration(
                 alpha, step, work_nodes, seed, s, kept, j + 1, n, collect, n_base
             )
@@ -389,8 +392,7 @@ def picard_v0(
     if k == 0:
         return GridFunction.constant(grid, 1.0)
     _, vals, _ = next(_adaptive_levels(
-        alpha, grid, (k,), GridFunction.constant(grid, 0.0), eps_tail, node_cap, expand_full,
-        picard_source=True,
+        alpha, grid, (k,), None, eps_tail, node_cap, expand_full, picard_source=True,
     ))
     return GridFunction(grid, 1.0 - vals, 1.0, range_bounds=True)
 

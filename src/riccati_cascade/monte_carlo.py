@@ -7,13 +7,14 @@ chunks of all points of one call go through one map, so a call starts at
 most one process pool.
 Standard errors are CLT-based (sample standard deviation / sqrt(n)).
 
-The two path tails come from one estimator: each tree is searched once
+The two path tails come from one estimator: each tree is walked once
 and yields both the min- and the max-path-sum indicator.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -26,8 +27,8 @@ from .cascade_core import (
     ClockSource,
     _census_batch,
     _product_batch,
+    _tail_batch,
     derive_stream,
-    sample_tail_flags,
 )
 from .grid_numerics import GridFunction, evaluate
 
@@ -45,6 +46,7 @@ __all__ = [
 
 _CHUNK = 1000
 _BATCH_VERTICES = 1 << 15
+_TAIL_BATCH = 32  # trees per sub-batch of the tail-flag walk, whose frontiers stay small
 # generators that finished sub-batches hand on for re-keying (see _sub_batches)
 _SPARE_GENERATORS: list[np.random.Generator] = []
 
@@ -148,8 +150,10 @@ def _chunks(n: int) -> list[tuple[int, int]]:
 
 
 def _map_chunks(fn, tasks: list, workers: int) -> list:
-    """Run chunk tasks in order; pool failures fall back to serial execution."""
-    if workers <= 1 or len(tasks) <= 1:
+    """Run chunk tasks in order, with at most one process per task and core;
+    pool failures fall back to serial execution."""
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(t) for t in tasks]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -292,13 +296,11 @@ def estimate_leaf_histogram(
 def _tail_chunk(task) -> tuple[np.ndarray, np.ndarray]:
     alpha, seed, t, depth, clocks, base_index, lo, hi = task
     params = CascadeParams(alpha, seed)
-    s_flags = np.empty(hi - lo)
-    l_flags = np.empty(hi - lo)
-    for k, [stream] in enumerate(_sub_batches(params, base_index + lo, base_index + hi, 1)):
-        flags = sample_tail_flags(params, t, depth, clocks, stream)
-        s_flags[k] = 1.0 if flags.s_exceeds else 0.0
-        l_flags[k] = 1.0 if flags.l_exceeds else 0.0
-    return s_flags, l_flags
+    s_flags, l_flags = zip(*[
+        _tail_batch(params, t, depth, clocks, streams)
+        for streams in _sub_batches(params, base_index + lo, base_index + hi, _TAIL_BATCH)
+    ])
+    return np.concatenate(s_flags).astype(float), np.concatenate(l_flags).astype(float)
 
 
 def estimate_path_tails(
@@ -310,7 +312,7 @@ def estimate_path_tails(
 ) -> tuple[EstimateSeries, EstimateSeries]:
     """Empirical P(min path sum at `depth` > t) and P(max path sum at `depth` > t).
 
-    Returns the (S, L) series.  One tail-flag search per tree yields both
+    Returns the (S, L) series.  One tail-flag walk per tree yields both
     indicators, so the two series share every tree and L >= S holds
     pointwise, sample by sample.  The S-tail increases to the minimal
     solution's tail as depth grows; the L-tail is a lower bound for the

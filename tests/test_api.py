@@ -15,7 +15,6 @@ PUBLIC_NAMES = {
     "ClockSource",
     "LeafCensus",
     "SamplerCapError",
-    "TailFlags",
     "crossing_horizon_cut",
     "derive_stream",
     "leaf_census",
@@ -50,7 +49,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 33
+    assert len(PUBLIC_NAMES) == 32
     assert sorted(riccati_cascade.__all__) == sorted(PUBLIC_NAMES | {"__version__"})
     assert len(riccati_cascade.__all__) == len(set(riccati_cascade.__all__))
 

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from riccati_cascade import (
     CascadeParams,
     ClockSource,
+    McConfig,
     SamplerCapError,
-    TailFlags,
     crossing_horizon_cut,
     derive_stream,
+    estimate_path_tails,
     leaf_census,
     path_extrema_by_depth,
     sample_product_indicator,
@@ -26,10 +27,12 @@ from riccati_cascade.cascade_core import (
     _census_batch,
     _level,
     _product_batch,
+    _survival_mass,
+    _tail_batch,
     _validate_horizon_depth,
 )
 from riccati_cascade.checks import _required_count
-from riccati_cascade.monte_carlo import _batch_size
+from riccati_cascade.monte_carlo import _batch_size, _census_rows
 
 EXP = ClockSource.exponential()
 
@@ -59,25 +62,22 @@ class _ClockBuffer:
         return float(v)
 
 
-def _reference_tail_flags(params, t, depth, clocks, stream, visit_cap=50_000_000):
-    """The tail-flag search in its first, plainest form: the oracle for the
-    flags `sample_tail_flags` returns and for the clocks it consumes."""
+def _reference_tail_flags(params, t, depth, clocks, stream):
+    """The tail-flag search as a depth-first search: the oracle for the flags
+    of the level walk under constant clocks, where every traversal order
+    sees the same tree."""
     alpha = params.alpha
     if t == 0.0:
-        return TailFlags(True, True)
+        return True, True
     cut = crossing_horizon_cut(alpha) if alpha > 1.0 else None
     buf = _ClockBuffer(clocks, stream)
     crossing_found = False
     alive_found = False
-    visits = 0
     stack = [(float(t), 0)]
     while stack:
         if crossing_found and alive_found:
             break
         horizon, d = stack.pop()
-        visits += 1
-        if visits > visit_cap:
-            raise RuntimeError("visit cap")
         if horizon == 0.0:
             crossing_found = True
             continue
@@ -94,7 +94,27 @@ def _reference_tail_flags(params, t, depth, clocks, stream, visit_cap=50_000_000
         child = alpha * (horizon - clock)
         stack.append((child, d + 1))
         stack.append((child, d + 1))
-    return TailFlags(not alive_found, crossing_found)
+    return not alive_found, crossing_found
+
+
+def _reference_walk_flags(params, t, depth, clocks, stream):
+    """The tail-flag walk of one tree, vertex array by vertex array: level
+    order over the alive region, horizons beyond the cut resolved without a
+    draw, and an exit once both flags are set."""
+    cut = crossing_horizon_cut(params.alpha) if params.alpha > 1.0 else math.inf
+    horizons, crossed, alive = np.array([float(t)]), False, False
+    for d in range(depth + 1):
+        alive |= bool(np.any(horizons > cut))
+        if alive and crossed:
+            break
+        horizons = horizons[horizons <= cut]
+        crossed |= bool(np.any(horizons == 0.0))
+        horizons = horizons[horizons > 0.0]
+        draws = clocks.draw(stream, horizons.size)
+        crossed |= bool(np.any(draws > horizons))
+        survivors = horizons[draws <= horizons] - draws[draws <= horizons]
+        horizons = np.repeat(params.alpha * survivors, 2)
+    return not (alive or horizons.size > 0), crossed
 
 
 def _reference_leaf_census(
@@ -213,6 +233,10 @@ def _chernoff_cut(alpha, log_prob, cap):
 
 def _next_draws(streams):
     return [s.standard_exponential(4).tolist() for s in streams]
+
+
+def _streams(p, first, count):
+    return [derive_stream(p, i) for i in range(first, first + count)]
 
 
 class TestDeriveStream:
@@ -419,52 +443,38 @@ class TestProductIndicator:
 class TestTailFlags:
     def test_zero_horizon_both_exceed(self):
         p = params(1.5, seed=37)
-        flags = sample_tail_flags(p, 0.0, 10, EXP, derive_stream(p, 0))
-        assert flags.s_exceeds and flags.l_exceeds
+        assert sample_tail_flags(p, 0.0, 10, EXP, derive_stream(p, 0)) == (True, True)
 
     def test_depth_zero_matches_root_clock_law(self):
         # at depth 0 both extrema equal the root clock: P(exceeds t) = e^-t
         p = params(1.5, seed=41)
         n = 10_000
-        hits = 0
-        for i in range(n):
-            flags = sample_tail_flags(p, 1.0, 0, EXP, derive_stream(p, i))
-            assert flags.s_exceeds == flags.l_exceeds
-            hits += flags.s_exceeds
+        s_flags, l_flags = _tail_batch(p, 1.0, 0, EXP, _streams(p, 0, n))
+        assert np.array_equal(s_flags, l_flags)
         p1 = math.exp(-1.0)
         band = 3.0 * math.sqrt(p1 * (1.0 - p1) / n)
-        assert abs(hits / n - p1) < band
+        assert abs(s_flags.mean() - p1) < band
 
     def test_s_exceeds_implies_l_exceeds(self):
         for alpha in (0.66, 1.5, 3.0):
             p = params(alpha, seed=43)
-            for i in range(500):
-                flags = sample_tail_flags(p, 2.0, 12, EXP, derive_stream(p, i))
-                assert flags.l_exceeds or not flags.s_exceeds
+            s_flags, l_flags = _tail_batch(p, 2.0, 12, EXP, _streams(p, 0, 500))
+            assert np.all(l_flags | ~s_flags)
 
     def test_nonexplosive_crossing_is_certain(self):
         # alpha below 1: path sums grow geometrically, every tree crosses t=2
         p = params(0.66, seed=47)
-        assert all(
-            sample_tail_flags(p, 2.0, 30, EXP, derive_stream(p, i)).l_exceeds
-            for i in range(2000)
-        )
+        _, l_flags = _tail_batch(p, 2.0, 30, EXP, _streams(p, 0, 2000))
+        assert l_flags.all()
 
     def test_matches_census_distribution(self):
         # survival flag and census alive-at-depth estimate the same probability
         p = params(1.5, seed=53)
         n = 4000
-        census_freq = np.mean(
-            [leaf_census(p, 2.0, 6, EXP, derive_stream(p, i)).truncated_at(6) for i in range(n)]
-        )
-        flag_freq = np.mean(
-            [
-                not sample_tail_flags(p, 2.0, 6, EXP, derive_stream(p, n + i)).s_exceeds
-                for i in range(n)
-            ]
-        )
+        _, alive = _census_rows(p, 2.0, 6, EXP, 0, n)
+        s_flags, _ = _tail_batch(p, 2.0, 6, EXP, _streams(p, n, n))
         se = math.sqrt(2.0 * 0.25 / n)
-        assert abs(census_freq - flag_freq) < 5.0 * se
+        assert abs(np.mean(alive[:, 6] > 0) - np.mean(~s_flags)) < 5.0 * se
 
     @pytest.mark.parametrize("alpha", [1.0005, 1.001])
     def test_horizon_cut_bounds_the_uncapped_series(self, alpha):
@@ -483,10 +493,10 @@ class TestTailFlags:
     def test_horizon_cut_is_conservative_for_sampled_trees(self, alpha):
         # P(max path sum > cut) <= e**-3: the L flags at t = cut stay within
         # the exact binomial bound (false-alarm rate 1e-4)
-        p, samples = params(alpha, seed=97), 2000
+        samples = 2000
         t = crossing_horizon_cut(alpha, -3.0)
-        hits = sum(sample_tail_flags(p, t, 30, EXP, derive_stream(p, i)).l_exceeds
-                   for i in range(samples))
+        _, l_series = estimate_path_tails(alpha, [t], 30, McConfig(seed=97, samples=samples))
+        hits = round(l_series.points[0].mean * samples)
         # smallest c with P(Binomial(samples, e**-3) > c) <= 1e-4
         assert hits <= samples - _required_count(samples, 1.0 - math.exp(-3.0), 1e-4)
 
@@ -502,30 +512,119 @@ class TestTailFlags:
         b = sample_tail_flags(p, 2.0, 25, EXP, derive_stream(p, 9))
         assert a == b
 
-    def test_same_flags_and_clocks_as_reference_search(self):
-        # the flags and the stream position after the search are both
-        # pinned: a reordered or skipped draw changes the next draws
+    @pytest.mark.parametrize("alpha", [0.66, 1.0, 1.5, 3.0])
+    def test_sub_batches_match_one_tree_calls(self, alpha):
+        # the flags and the stream position after the walk are both pinned:
+        # a tree that draws another tree's clocks, or one clock too many or
+        # too few, changes the next draws
+        p = params(alpha, seed=67)
         index = 0
-        for alpha in (0.66, 1.0, 1.5, 3.0):
-            p = params(alpha, seed=67)
-            for t in (0.0, 0.5, 2.0, 8.0):
-                for depth in (0, 1, 5, 30):
-                    for _ in range(60):
-                        want_stream = derive_stream(p, index)
-                        got_stream = derive_stream(p, index)
-                        want = _reference_tail_flags(p, t, depth, EXP, want_stream)
-                        got = sample_tail_flags(p, t, depth, EXP, got_stream)
-                        assert got == want, (alpha, t, depth, index)
-                        assert np.array_equal(
-                            got_stream.standard_exponential(4),
-                            want_stream.standard_exponential(4),
-                        ), (alpha, t, depth, index)
-                        index += 1
+        for t in (0.0, 0.5, 2.0, 8.0):
+            for depth in (0, 1, 5, 30):
+                for size in (1, 3, 32):
+                    got_streams = _streams(p, index, size)
+                    want_streams = _streams(p, index, size)
+                    index += size
+                    s_flags, l_flags = _tail_batch(p, t, depth, EXP, got_streams)
+                    want = [sample_tail_flags(p, t, depth, EXP, s) for s in want_streams]
+                    assert list(zip(s_flags.tolist(), l_flags.tolist())) == want, (t, depth, size)
+                    assert _next_draws(got_streams) == _next_draws(want_streams)
 
-    def test_visit_cap_raises_typed_error(self):
+    @pytest.mark.parametrize("alpha", [0.66, 1.0, 1.5, 3.0])
+    def test_flags_are_the_census_where_no_vertex_passes_the_cut(self, alpha):
+        # a vertex at depth d has a horizon below t * alpha**d, so no vertex
+        # passes the cut while t * alpha**depth <= cut; there the walk draws
+        # the census's clocks until both flags are known
+        p = params(alpha, seed=71)
+        cut = crossing_horizon_cut(alpha) if alpha > 1.0 else math.inf
+        cases = [(t, 30 if alpha <= 1.0 else int(math.log(cut / t) / math.log(alpha)))
+                 for t in (0.0, 0.5, 2.0, 8.0)[alpha > 1.0:]]
+        for k, (t, depth) in enumerate(cases):
+            s_flags, l_flags = _tail_batch(p, t, depth, EXP, _streams(p, 200 * k, 200))
+            leaves, alive = _census_rows(p, t, depth, EXP, 200 * k, 200 * (k + 1))
+            assert np.array_equal(s_flags, alive[:, depth] == 0), (t, depth)
+            assert np.array_equal(l_flags, leaves.sum(axis=1) > 0), (t, depth)
+
+    def test_survival_certificate_agrees_with_the_census(self):
+        # at alpha = 1 and t = 10 the frontiers grow to thousands of likely
+        # survivors: the certificate ends most walks early (the stream
+        # positions show it), and the census of the same clocks confirms
+        # every certified survivor
+        p, depth = params(1.0, seed=83), 24
+        got_streams, want_streams = _streams(p, 0, 100), _streams(p, 0, 100)
+        s_flags, l_flags = _tail_batch(p, 10.0, depth, EXP, got_streams)
+        leaves, alive = _census_batch(p, 10.0, depth, EXP, want_streams)
+        assert np.array_equal(s_flags, alive[:, depth] == 0)
+        assert np.array_equal(l_flags, leaves.sum(axis=1) > 0)
+        early = [a != b for a, b in zip(_next_draws(got_streams), _next_draws(want_streams))]
+        assert sum(early) >= 50
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 31])
+    def test_survival_mass_bounds_the_gamma_law(self, m):
+        # each entry as its own tree: the bound against the exact
+        # P(Gamma(m) <= x) = 1 - e**-x sum_{i < m} x**i / i!
+        x = np.array([0.0, 0.01, 0.5, 1.0, m - 1.0, m - 0.5, m, m + 0.5, 2.0 * m, 4.0 * m + 10])
+        got = _survival_mass(x, 1, np.ones(x.size, dtype=np.int64), m, 1.0)
+        exact = [1.0 - math.exp(-v) * math.fsum(v**i / math.factorial(i) for i in range(m))
+                 for v in x]
+        assert np.all(got <= np.array(exact) + 1e-15)
+        assert got[-1] > 0.99 and got[0] == 0.0
+        assert np.array_equal(_survival_mass(x, 2, np.array([x.size]), m, 1.0), [2.0 * got.sum()])
+
+    @pytest.mark.parametrize("alpha", [0.66, 1.0, 1.5])
+    def test_survival_mass_bounds_the_path_law(self, alpha):
+        # a fixed path of m clocks below horizon h survives iff
+        # sum_j alpha**-j c_j <= h; 20,000 paths, 4-sigma band
+        gen = derive_stream(params(alpha), 0)
+        for m, h in ((1, 0.7), (3, 2.0), (8, 9.0), (8, 60.0)):
+            paths = gen.standard_exponential((20_000, m)) @ alpha ** -np.arange(m)
+            freq = np.mean(paths <= h)
+            bound = _survival_mass(np.array([h]), 1, np.array([1]), m, alpha)[0]
+            assert bound <= freq + 4.0 * math.sqrt(max(freq, bound) / 20_000), (m, h)
+
+    def test_near_critical_frontiers_stay_small(self):
+        # at alpha = 1.1 and t = 8 a level walk without the survival
+        # certificate grows millions of vertices per tree by depth 30
+        p = params(1.1, seed=89)
+        s_flags, _ = _tail_batch(p, 8.0, 30, EXP, _streams(p, 0, 32), frontier_cap=1 << 17)
+        assert not s_flags.any()
+
+    def test_root_at_the_cut_draws_its_clock(self):
+        # the cut takes only horizons strictly beyond it
+        for alpha in (1.5, 3.0):
+            p = params(alpha, seed=79)
+            stream, twin = derive_stream(p, 0), derive_stream(p, 0)
+            sample_tail_flags(p, crossing_horizon_cut(alpha), 0, EXP, stream)
+            twin.standard_exponential(1)
+            assert _next_draws([stream]) == _next_draws([twin]), alpha
+
+    @pytest.mark.parametrize("alpha", [1.5, 3.0])
+    def test_flags_match_the_level_order_reference_past_the_cut(self, alpha):
+        # many of these trees pass the cut: one alive through the cut must
+        # still look for a crossing, and one crossed for a survivor
+        p = params(alpha, seed=73)
+        for k, t in enumerate((2.0, 8.0, 30.0)):
+            s_flags, l_flags = _tail_batch(p, t, 30, EXP, _streams(p, 100 * k, 100))
+            want = [_reference_walk_flags(p, t, 30, EXP, s) for s in _streams(p, 100 * k, 100)]
+            assert list(zip(s_flags.tolist(), l_flags.tolist())) == want, t
+
+    @pytest.mark.parametrize("alpha", [0.66, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("value", [0.3, 0.7, 1.6])
+    def test_constant_clocks_match_the_depth_first_search(self, alpha, value):
+        # constant clocks make the tree deterministic, so the level walk and
+        # the depth-first search see the same tree; from t = 60 the horizons
+        # of alpha 1.5 and 3 pass the cut
+        p = params(alpha, seed=67)
+        clocks = ClockSource.constant(value)
+        for t in (0.0, 0.3, 0.5, 0.7, 2.0, 8.0, 60.0, 200.0):
+            for depth in (0, 1, 5, 12):
+                want = _reference_tail_flags(p, t, depth, clocks, derive_stream(p, 0))
+                assert sample_tail_flags(p, t, depth, clocks, derive_stream(p, 0)) == want, (t, depth)
+
+    def test_frontier_cap_raises_typed_error(self):
         p = params(1.5, seed=71)
-        with pytest.raises(SamplerCapError, match="visit"):
-            sample_tail_flags(p, 8.0, 30, EXP, derive_stream(p, 0), visit_cap=3)
+        with pytest.raises(SamplerCapError, match="frontier"):
+            sample_tail_flags(p, 8.0, 30, EXP, derive_stream(p, 0), frontier_cap=3)
 
 
 class TestBatchCore:

@@ -147,7 +147,8 @@ class TestUsage:
         assert err.startswith("error: ") and "\n" not in err
         assert not (tmp_path / argv[0]).exists()
 
-    @pytest.mark.parametrize("eps_tail", ["nan", "inf", "0", "-1"])
+    # and below 1: q stays below 1, so a tail of 1 or more certifies every working grid
+    @pytest.mark.parametrize("eps_tail", ["nan", "inf", "0", "-1", "1", "2"])
     def test_eps_tail_must_be_finite_and_positive(self, tmp_path, capsys, eps_tail):
         assert run(tmp_path, "qn", "--alpha", "3", "--depth", "6", "--step", "0.05",
                    f"--eps-tail={eps_tail}", "--seed", "1") == 2

@@ -204,7 +204,20 @@ class TestPicard:
             u = picard_v0(alpha, GRID, k)
             assert np.max(np.abs(u.values - expected)) <= 1e-12, k
             assert u.tail_value == 1.0
-            assert runs == [(nodes, 1, k) for nodes in tried], k
+            assert runs == [(nodes, 2, k) for nodes in tried], k
+
+    @pytest.mark.parametrize("alpha", [0.66, 3.0])
+    def test_level_one_is_the_clipped_source(self, alpha, monkeypatch):
+        # K(0) = 0, so the zero seed costs no scan: each working grid tried
+        # scans once for the source and once for each level from 2 to k
+        real = grid_numerics._trapezoid_convolve
+        for k in (1, 5):
+            _, tried = _reference_picard(alpha, GRID, k)
+            scans = []
+            monkeypatch.setattr(grid_numerics, "_trapezoid_convolve",
+                                lambda phi, step: scans.append(len(phi)) or real(phi, step))
+            picard_v0(alpha, GRID, k)
+            assert scans == [nodes for nodes in tried for _ in range(k)], k
 
 
 def _reference_picard(alpha, grid, k, eps_tail=grid_numerics.DEFAULT_EPS_TAIL):
@@ -379,16 +392,16 @@ def _spy_steps(monkeypatch):
     return runs
 
 
-@pytest.mark.parametrize("chain", [
-    lambda: picard_v0(1.5, GRID, 4),
-    lambda: iterate_vn(1.5, GRID, 4, GridFunction.constant(GRID, 0.5)),
-    lambda: iterate_qn(1.5, GRID, 4, GridFunction.constant(GRID, 0.5)),
+@pytest.mark.parametrize("chain, first", [
+    (lambda: picard_v0(1.5, GRID, 4), 2),  # level 1 of Picard is the clipped source
+    (lambda: iterate_vn(1.5, GRID, 4, GridFunction.constant(GRID, 0.5)), 1),
+    (lambda: iterate_qn(1.5, GRID, 4, GridFunction.constant(GRID, 0.5)), 1),
 ], ids=["picard_v0", "iterate_vn", "iterate_qn"])
-def test_every_chain_steps_through_the_one_loop(chain, monkeypatch):
+def test_every_chain_steps_through_the_one_loop(chain, first, monkeypatch):
     # iterate_qn_levels is spied on in TestIterateQnLevels
     runs = _spy_steps(monkeypatch)
     chain()
-    assert runs and runs[0][1] == 1 and runs[-1][2] == 4
+    assert runs and runs[0][1] == first and runs[-1][2] == 4
 
 
 class TestIterateQnLevels:

@@ -22,9 +22,9 @@ from riccati_cascade import (
     iterate_vn,
     picard_v0,
     sample_product_indicator,
-    sample_tail_flags,
 )
 from riccati_cascade import monte_carlo
+from riccati_cascade.cascade_core import _tail_batch
 
 GRID = UniformGrid(8.0, 0.01)
 EXP = ClockSource.exponential()
@@ -147,14 +147,10 @@ class TestPathTails:
         s_series, l_series = estimate_path_tails(1.5, ts, 12, cfg)
         p = CascadeParams(1.5, cfg.seed)
         for t_idx, t in enumerate(ts):
-            flags = [
-                sample_tail_flags(p, t, 12, EXP, derive_stream(p, t_idx * cfg.samples + i))
-                for i in range(cfg.samples)
-            ]
-            s_mean = np.mean([float(f.s_exceeds) for f in flags])
-            l_mean = np.mean([float(f.l_exceeds) for f in flags])
-            assert s_series.points[t_idx].mean == s_mean
-            assert l_series.points[t_idx].mean == l_mean
+            streams = [derive_stream(p, t_idx * cfg.samples + i) for i in range(cfg.samples)]
+            s_flags, l_flags = _tail_batch(p, t, 12, EXP, streams)
+            assert s_series.points[t_idx].mean == np.mean(s_flags)
+            assert l_series.points[t_idx].mean == np.mean(l_flags)
             assert l_series.points[t_idx].mean >= s_series.points[t_idx].mean
         assert s_series.ts().tolist() == l_series.ts().tolist() == ts
 
@@ -183,6 +179,7 @@ class TestReproducibility:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(monte_carlo, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(monte_carlo.os, "cpu_count", lambda: 2)
         v0 = picard_v0(1.5, GRID, 3)
         ts = [1.0, 2.0, 3.0]
         runs = []
@@ -201,6 +198,33 @@ class TestReproducibility:
         for a, b in zip(means_1 + errs_1, means_2 + errs_2):
             assert np.array_equal(a, b)
         assert hist_1 == hist_2
+
+    @pytest.mark.parametrize("cores, workers, tasks, pools", [
+        (4, 64, 3, [3]), (4, 64, 10, [4]), (4, 2, 10, [2]), (None, 8, 10, []), (4, 8, 1, []),
+    ])
+    def test_pool_has_no_more_processes_than_tasks_or_cores(self, monkeypatch, cores, workers,
+                                                            tasks, pools):
+        # a stub executor records the pool size and starts no process
+        started = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(monte_carlo, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(monte_carlo.os, "cpu_count", lambda: cores)
+        assert monte_carlo._map_chunks(abs, list(range(-tasks, 0)), workers) == list(
+            range(tasks, 0, -1))
+        assert started == pools
 
     # 7 trees in threes end on a partial sub-batch; 2 trees fill less than one
     @pytest.mark.parametrize("first, stop, size", [(5, 12, 3), (40, 42, 8), (0, 1, 1)])
