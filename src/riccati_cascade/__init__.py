@@ -7,12 +7,11 @@ routes (Monte Carlo vs deterministic quadrature) with seeded, worker-count
 independent reproducibility.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .cascade_core import (
     CascadeParams,
     ClockSource,
-    LeafCensus,
     SamplerCapError,
     crossing_horizon_cut,
     derive_stream,
@@ -52,7 +51,6 @@ __all__ = [
     "__version__",
     "CascadeParams",
     "ClockSource",
-    "LeafCensus",
     "SamplerCapError",
     "crossing_horizon_cut",
     "derive_stream",

@@ -125,14 +125,18 @@ def write_grid_function(f: GridFunction, path) -> Path:
         "tail_value": f.tail_value,
         "range_bounds": f.range_bounds,
     }
-    sidecar = path.with_name(path.name + ".meta.json")
-    sidecar.write_text(_canonical_json(meta) + "\n")
+    _sidecar_path(path).write_text(_canonical_json(meta) + "\n")
     return path
+
+
+def _sidecar_path(path: Path) -> Path:
+    """The JSON sidecar of the grid-function CSV at `path`."""
+    return path.with_name(path.name + ".meta.json")
 
 
 def read_grid_function(path) -> GridFunction:
     path = Path(path)
-    meta = json.loads(path.with_name(path.name + ".meta.json").read_text())
+    meta = json.loads(_sidecar_path(path).read_text())
     values = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)

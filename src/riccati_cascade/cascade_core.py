@@ -26,7 +26,6 @@ __all__ = [
     "CascadeParams",
     "ClockSource",
     "SamplerCapError",
-    "LeafCensus",
     "derive_stream",
     "leaf_census",
     "path_extrema_by_depth",
@@ -84,36 +83,6 @@ class ClockSource:
         if self.mode == "exponential":
             return gen.standard_exponential(n)
         return np.full(n, self.value, dtype=float)
-
-
-class LeafCensus:
-    """Per-depth census of one simulated tree, truncated at `depth`.
-
-    leaves_by_depth[d] counts t-leaves at depth d; alive_by_depth[d] counts
-    vertices at depth d whose cumulative time is still <= t.  A single
-    census yields the truncated leaf count for every threshold n <= depth
-    under exact pathwise coupling (same tree, different cut).
-    """
-
-    __slots__ = ("t", "depth", "leaves_by_depth", "alive_by_depth")
-
-    def __init__(self, t: float, depth: int, leaves_by_depth: np.ndarray, alive_by_depth: np.ndarray):
-        self.t = t
-        self.depth = depth
-        self.leaves_by_depth = leaves_by_depth
-        self.alive_by_depth = alive_by_depth
-
-    def count_up_to(self, n: int) -> int:
-        """Leaf count truncated at depth n (0 <= n <= depth)."""
-        if not 0 <= n <= self.depth:
-            raise ValueError(f"threshold {n} outside censused range 0..{self.depth}")
-        return int(self.leaves_by_depth[: n + 1].sum())
-
-    def truncated_at(self, n: int) -> bool:
-        """True when some path is still alive at depth n (count may undershoot)."""
-        if not 0 <= n <= self.depth:
-            raise ValueError(f"threshold {n} outside censused range 0..{self.depth}")
-        return bool(self.alive_by_depth[n] > 0)
 
 
 def derive_stream(params: CascadeParams, sample_index: int) -> np.random.Generator:
@@ -190,7 +159,10 @@ def _check_frontier(survivors: int, alive: np.ndarray, frontier_cap: int, depth:
         )
 
 
-def _census_batch(
+# a horizon past the float range overflows to inf, which survives every clock;
+# the tail-flag walk needs no guard: alpha > 1 cuts large horizons, alpha <= 1 shrinks them
+@np.errstate(over="ignore")
+def leaf_census(
     params: CascadeParams,
     t: float,
     depth: int,
@@ -198,10 +170,16 @@ def _census_batch(
     streams: list,
     frontier_cap: int = _DEFAULT_FRONTIER_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Leaves and alive vertices per depth for one tree per stream.
+    """Leaves and alive vertices per depth 0..depth, one tree per stream.
 
-    Returns two (trees, depth + 1) arrays; row k is the census of the tree
-    drawn from `streams[k]`, bit for bit what :func:`leaf_census` gives it.
+    Returns two (trees, depth + 1) arrays: row k tallies the tree drawn from
+    `streams[k]`, whose t-leaves at depth d are leaves[k, d] and whose
+    vertices at depth d with cumulative time still <= t are alive[k, d].
+    The cumulative sum of a row is the leaf count truncated at every
+    threshold n <= depth on the same tree; alive[k, n] > 0 says the count at
+    n may undershoot.  Vertices at horizon exactly 0 are leaves without
+    consuming a clock, so the horizon-0 tree is only its root.  Memory is
+    O(alive frontier), not O(2**depth).
     """
     _validate_horizon_depth(t, depth, _MAX_COUNT_DEPTH)
     n_trees = len(streams)
@@ -219,24 +197,6 @@ def _census_batch(
     vertices = np.ones_like(alive)
     vertices[:, 1:] = 2 * alive[:, :-1]
     return vertices - alive, alive
-
-
-def leaf_census(
-    params: CascadeParams,
-    t: float,
-    depth: int,
-    clocks: ClockSource,
-    stream: np.random.Generator,
-    frontier_cap: int = _DEFAULT_FRONTIER_CAP,
-) -> LeafCensus:
-    """Simulate one tree and tally leaves and alive vertices per depth.
-
-    Level-order traversal of the alive region; vertices at horizon exactly 0
-    are leaves without consuming a clock (the horizon-0 tree is just the
-    root).  Memory is O(alive frontier), not O(2**depth).
-    """
-    leaves, alive = _census_batch(params, t, depth, clocks, [stream], frontier_cap)
-    return LeafCensus(t, depth, leaves[0], alive[0])
 
 
 def path_extrema_by_depth(
@@ -279,7 +239,8 @@ def _x0_values(x0, args: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _product_batch(
+@np.errstate(over="ignore")  # as in leaf_census
+def sample_product_indicator(
     params: CascadeParams,
     t: float,
     n: int,
@@ -288,10 +249,14 @@ def _product_batch(
     streams: list,
     frontier_cap: int = _DEFAULT_FRONTIER_CAP,
 ) -> np.ndarray:
-    """One draw of the depth-n product recursion per stream.
+    """One draw of the depth-n product recursion seeded by x0 per stream.
 
-    Entry k is the draw from the tree of `streams[k]`, bit for bit what
-    :func:`sample_product_indicator` gives it: the trees advance together
+    A vertex whose clock exceeds its horizon contributes the factor 1; a
+    surviving vertex passes the rescaled remaining horizon to two children.
+    After n levels the surviving horizons are fed through x0 and multiplied
+    (empty product = 1).  For n=0 the value is x0(t) directly.  The
+    expectation equals the n-th deterministic iterate seeded by x0.  Entry
+    k is the draw from the tree of `streams[k]`: the trees advance together
     but each consumes its own clocks, and its factors are multiplied in
     vertex order.
     """
@@ -313,26 +278,6 @@ def _product_batch(
         starts = (sizes.cumsum() - sizes)[grown] * width
         out[grown] = np.multiply.reduceat(_x0_values(x0, parents).repeat(width), starts)
     return out
-
-
-def sample_product_indicator(
-    params: CascadeParams,
-    t: float,
-    n: int,
-    x0,
-    clocks: ClockSource,
-    stream: np.random.Generator,
-    frontier_cap: int = _DEFAULT_FRONTIER_CAP,
-) -> float:
-    """One draw of the depth-n product recursion seeded by x0.
-
-    A vertex whose clock exceeds its horizon contributes the factor 1; a
-    surviving vertex passes the rescaled remaining horizon to two children.
-    After n levels the surviving horizons are fed through x0 and multiplied
-    (empty product = 1).  For n=0 the value is x0(t) directly.  The
-    expectation equals the n-th deterministic iterate seeded by x0.
-    """
-    return float(_product_batch(params, t, n, x0, clocks, [stream], frontier_cap)[0])
 
 
 @lru_cache(maxsize=64)
@@ -382,7 +327,7 @@ def _survival_mass(parents, width, sizes, clocks_left, alpha) -> np.ndarray:
     return width * np.bincount(np.arange(len(sizes)).repeat(sizes), p, len(sizes))
 
 
-def _tail_batch(
+def sample_tail_flags(
     params: CascadeParams,
     t: float,
     depth: int,
@@ -399,7 +344,9 @@ def _tail_batch(
     :func:`crossing_horizon_cut`, which survives and never crosses, and
     under exponential clocks a frontier whose survival mass (independent
     subtrees) reaches 70.  A tree with both flags draws no further clocks.
-    Returns two boolean arrays, (s_exceeds, l_exceeds).
+    Returns two boolean arrays, (s_exceeds, l_exceeds).  Both flags of a
+    tree come from the same walk, so {min > t} implies {max > t} tree by
+    tree.
     """
     _validate_horizon_depth(t, depth, 2**31)
     n_trees = len(streams)
@@ -427,18 +374,3 @@ def _tail_batch(
             _check_frontier(parents.size, sizes, frontier_cap, d + 1)
         width = 2
     return ~alive & (sizes == 0), crossed  # sizes counts the survivors at `depth`, if any
-
-
-def sample_tail_flags(
-    params: CascadeParams,
-    t: float,
-    depth: int,
-    clocks: ClockSource,
-    stream: np.random.Generator,
-    frontier_cap: int = _DEFAULT_FRONTIER_CAP,
-) -> tuple[bool, bool]:
-    """Joint indicators (min path sum > t, max path sum > t) for one tree, a
-    batch of one of the tail-flag walk.  Both come from the same tree, so
-    {min > t} implies {max > t} sample by sample."""
-    s_exceeds, l_exceeds = _tail_batch(params, t, depth, clocks, [stream], frontier_cap)
-    return bool(s_exceeds[0]), bool(l_exceeds[0])

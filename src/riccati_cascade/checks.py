@@ -80,10 +80,11 @@ def check_sampler_determinism(seed: int) -> CheckResult:
     v0 = picard_v0(1.5, UniformGrid(8.0, 0.01), 3)
     runs = []
     for _ in range(2):
-        census = leaf_census(params, 2.0, 10, clocks, derive_stream(params, 5))
-        x = sample_product_indicator(params, 2.0, 6, v0, clocks, derive_stream(params, 6))
-        flags = sample_tail_flags(params, 2.0, 20, clocks, derive_stream(params, 7))
-        runs.append((census.count_up_to(10), census.truncated_at(10), x, flags))
+        leaves, alive = leaf_census(params, 2.0, 10, clocks, [derive_stream(params, 5)])
+        x = sample_product_indicator(params, 2.0, 6, v0, clocks, [derive_stream(params, 6)])
+        s, l = sample_tail_flags(params, 2.0, 20, clocks, [derive_stream(params, 7)])
+        runs.append((int(leaves[0].sum()), bool(alive[0, 10]), float(x[0]),
+                     (bool(s[0]), bool(l[0]))))
     ok = runs[0] == runs[1]
     return CheckResult("sampler_determinism", ok, f"two replays gave {runs[0]} and {runs[1]}")
 
@@ -95,7 +96,7 @@ def _rows_with(bad: np.ndarray) -> int:
 def check_leaf_count_coupled_monotonicity(seed: int, samples: int) -> CheckResult:
     leaves, _ = _census_rows(CascadeParams(1.5, seed), 2.0, 12, ClockSource.exponential(),
                              0, samples)
-    counts = np.cumsum(leaves, axis=1)  # count_up_to(n) for n = 0..12
+    counts = np.cumsum(leaves, axis=1)  # the leaf count truncated at n = 0..12
     violations = _rows_with(counts[:, 1:] < counts[:, :-1])
     return CheckResult(
         "leaf_count_coupled_monotonicity",
@@ -121,12 +122,12 @@ def check_path_extrema_monotonicity(seed: int, samples: int, alpha: float = 1.5)
 
 def check_subcritical_survival_vanishes(seed: int, samples: int) -> CheckResult:
     """For alpha <= 1 the min path sum exceeds any fixed t as depth grows."""
+    cfg = McConfig(seed=seed, samples=samples)
     details = []
     ok = True
     for alpha in (0.66, 1.0):
         freqs = []
         for depth in (8, 24):
-            cfg = McConfig(seed=seed, samples=samples, depth=depth)
             s_series, _ = estimate_path_tails(alpha, [2.0], depth, cfg)
             freqs.append(s_series.points[0].mean)
         ok = ok and freqs[1] >= freqs[0] - 3.0 / math.sqrt(samples) and freqs[1] > 0.9
@@ -140,7 +141,7 @@ def check_product_indicator_mean(alpha: float, seed: int, samples: int) -> Check
     v0 = picard_v0(alpha, grid, 5)
     n = 5
     vn = iterate_vn(alpha, grid, n, v0)
-    cfg = McConfig(seed=seed, samples=samples, depth=n)
+    cfg = McConfig(seed=seed, samples=samples)
     series = estimate_v_curve(alpha, [1.0, 2.0, 4.0], n, v0, cfg)
     report = compare_series(series, vn, z_threshold=5.0, min_fraction=1.0)
     return CheckResult(
@@ -237,10 +238,10 @@ def check_worker_count_invariance(alpha: float, seed: int) -> CheckResult:
     series = []
     hists = []
     for workers in (1, 2):
-        cfg = McConfig(seed=seed, samples=200, depth=6, workers=workers)
+        cfg = McConfig(seed=seed, samples=200, workers=workers)
         series.append(estimate_v_curve(alpha, [1.0, 3.0], 6, v0, cfg))
         # two chunks, so that two workers share the histogram too
-        cfg = McConfig(seed=seed, samples=1200, depth=8, workers=workers)
+        cfg = McConfig(seed=seed, samples=1200, workers=workers)
         hists.append(estimate_leaf_histogram(alpha, 2.0, 8, cfg))
     same_series = series[0] == series[1]
     same_hist = hists[0] == hists[1]
@@ -298,12 +299,12 @@ def check_ci_calibration(seed: int, reps: int, samples: int) -> CheckResult:
     covered_hist = 0
     covered_mean = 0
     for r in range(reps):
-        cfg = McConfig(seed=seed + 2 * r, samples=samples, depth=10)
+        cfg = McConfig(seed=seed + 2 * r, samples=samples)
         hist = estimate_leaf_histogram(0.0, 2.0, 10, cfg)
         freq = hist.frequency(2)
         se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / hist.total)
         covered_hist += abs(freq - truth_hist) <= 3.0 * se
-        cfg = McConfig(seed=seed + 2 * r + 1, samples=samples, depth=1)
+        cfg = McConfig(seed=seed + 2 * r + 1, samples=samples)
         point = estimate_v_curve(0.0, [2.0], 1, zero, cfg).points[0]
         covered_mean += abs(point.mean - truth_mean) <= 3.0 * point.stderr
     # the histogram's se divides by n, the estimator's stderr by n - 1
@@ -326,12 +327,12 @@ def check_tail_domination(
 ) -> CheckResult:
     """L-tail estimates dominate S-tail estimates pointwise (shared trees),
     and both indicator families are monotone in depth within one census."""
-    cfg = McConfig(seed=seed, samples=samples, depth=12)
+    cfg = McConfig(seed=seed, samples=samples)
     s_series, l_series = estimate_path_tails(alpha, ts, 12, cfg)
     dominated = bool(np.all(l_series.means() >= s_series.means()))
     leaves, alive = _census_rows(CascadeParams(alpha, seed), 2.0, 12, ClockSource.exponential(),
                                  0, min(samples, 300))
-    s_flags = alive == 0  # not truncated_at(d) for d = 0..12
+    s_flags = alive == 0  # no vertex alive at depth d = 0..12
     l_flags = np.cumsum(leaves, axis=1) > 0  # some leaf at depth <= d
     mono_bad = (_rows_with(s_flags[:, :-1] & ~s_flags[:, 1:])
                 + _rows_with(l_flags[:, :-1] & ~l_flags[:, 1:])
@@ -345,9 +346,9 @@ def check_tail_domination(
 
 def check_heavy_tail_signature(seed: int, samples: int) -> CheckResult:
     """Mean truncated leaf count at alpha=1.5 grows with the depth cap."""
+    cfg = McConfig(seed=seed, samples=samples)
     means, errs = [], []
     for depth in (5, 10, 15):
-        cfg = McConfig(seed=seed, samples=samples, depth=depth)
         hist = estimate_leaf_histogram(1.5, 2.0, depth, cfg)
         means.append(hist.mean())
         errs.append(hist.stderr())
@@ -361,7 +362,7 @@ def check_heavy_tail_signature(seed: int, samples: int) -> CheckResult:
 def check_serialization_roundtrip(alpha: float, seed: int) -> CheckResult:
     grid = UniformGrid(4.0, 0.05)
     v0 = picard_v0(alpha, grid, 3)
-    cfg = McConfig(seed=seed, samples=50, depth=5)
+    cfg = McConfig(seed=seed, samples=50)
     series = estimate_v_curve(alpha, [0.0, 1.0, 2.5], 5, v0, cfg)
     hist = estimate_leaf_histogram(alpha, 2.0, 8, cfg)
     with tempfile.TemporaryDirectory() as tmp:

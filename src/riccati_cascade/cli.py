@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .analysis_io import (
     RunManifest,
+    _sidecar_path,
     write_grid_function,
     write_histogram_csv,
     write_manifest,
@@ -28,6 +29,7 @@ from .analysis_io import (
 from .cascade_core import SamplerCapError
 from .checks import run_all_checks
 from .grid_numerics import (
+    DEFAULT_NODE_CAP,
     GridFunction,
     GridMemoryError,
     UniformGrid,
@@ -166,10 +168,34 @@ def _out_dir(args, command: str, manifest: RunManifest) -> Path:
 
 
 def _t_points(t_max: float, t_step: float) -> np.ndarray:
-    """0, t_step, ..., up to t_max."""
+    """0, t_step, ..., up to t_max: at least one point, at most DEFAULT_NODE_CAP."""
     if not (math.isfinite(t_step) and t_step > 0.0):
         raise ValueError(f"--t-step must be finite and > 0, got {t_step}")
+    count = (t_max + t_step / 2.0) / t_step  # rounded up, the length of the arange
+    if not 0.0 < count <= DEFAULT_NODE_CAP:
+        raise ValueError(
+            f"--t-max {t_max} and --t-step {t_step} must give 1 to {DEFAULT_NODE_CAP} t-points"
+        )
     return np.arange(0.0, t_max + t_step / 2.0, t_step)
+
+
+def _base_grid(args) -> UniformGrid:
+    """The grid of --t-max and --step, rejected before any array is allocated
+    when its node count exceeds DEFAULT_NODE_CAP, which bounds every working grid."""
+    grid = UniformGrid(args.t_max, args.step)
+    # the float ratio first: past the float range (a subnormal step) it is inf
+    if args.t_max / args.step >= DEFAULT_NODE_CAP or grid.node_count > DEFAULT_NODE_CAP:
+        raise GridMemoryError(
+            f"the grid of --t-max {args.t_max} and --step {args.step} would need more "
+            f"than {DEFAULT_NODE_CAP} nodes; coarsen the step"
+        )
+    return grid
+
+
+def _write_grid(f: GridFunction, path: Path) -> list[Path]:
+    """Writes `f`; returns its CSV and sidecar paths for the manifest."""
+    path = write_grid_function(f, path)
+    return [path, _sidecar_path(path)]
 
 
 def _explosion_seed(args, alpha: float, grid: UniformGrid) -> GridFunction:
@@ -183,7 +209,7 @@ def _cmd_hist(args) -> int:
     seed = _resolve_seed(args)
     manifest = _manifest_for(args, "hist", seed, {"t": args.t})
     out = _out_dir(args, "hist", manifest)
-    cfg = McConfig(seed=seed, samples=args.samples, depth=args.depth, workers=args.workers)
+    cfg = McConfig(seed=seed, samples=args.samples, workers=args.workers)
     hist = estimate_leaf_histogram(args.alpha, args.t, args.depth, cfg)
     files = [write_histogram_csv(hist, out / "histogram.csv")]
     print(
@@ -199,15 +225,14 @@ def _cmd_vcurve(args) -> int:
     manifest = _manifest_for(args, "vcurve", seed, {"t-step": args.t_step})
     out = _out_dir(args, "vcurve", manifest)
     t_points = _t_points(args.t_max, args.t_step)
-    grid = UniformGrid(args.t_max, args.step)
+    grid = _base_grid(args)
     v0 = picard_v0(args.alpha, grid, args.picard_k, args.eps_tail)
-    cfg = McConfig(seed=seed, samples=args.samples, depth=args.depth, workers=args.workers)
+    cfg = McConfig(seed=seed, samples=args.samples, workers=args.workers)
     series = estimate_v_curve(args.alpha, t_points, args.depth, v0, cfg)
     files = [
         write_series_csv(series, out / "vcurve_mc.csv"),
-        write_grid_function(v0, out / "v0_picard.csv"),
+        *_write_grid(v0, out / "v0_picard.csv"),
     ]
-    files.append(files[-1].with_name(files[-1].name + ".meta.json"))
     lo, hi = series.means().min(), series.means().max()
     print(f"v-curve at alpha={args.alpha}: {len(series.points)} points, range [{lo:.4f}, {hi:.4f}]")
     _finalize(manifest, out, files)
@@ -218,10 +243,9 @@ def _cmd_v0(args) -> int:
     seed = _resolve_seed(args)
     manifest = _manifest_for(args, "v0", seed, {})
     out = _out_dir(args, "v0", manifest)
-    grid = UniformGrid(args.t_max, args.step)
+    grid = _base_grid(args)
     u_k = picard_v0(args.alpha, grid, args.picard_k, args.eps_tail)
-    files = [write_grid_function(u_k, out / "v0_picard.csv")]
-    files.append(files[-1].with_name(files[-1].name + ".meta.json"))
+    files = _write_grid(u_k, out / "v0_picard.csv")
     k_ref = 8 if args.picard_k != 8 else 5
     u_ref = picard_v0(args.alpha, grid, k_ref, args.eps_tail)
     gap = float(np.max(np.abs(u_k.values - u_ref.values)))
@@ -237,11 +261,10 @@ def _cmd_qn(args) -> int:
     seed = _resolve_seed(args)
     manifest = _manifest_for(args, "qn", seed, {})
     out = _out_dir(args, "qn", manifest)
-    grid = UniformGrid(args.t_max, args.step)
+    grid = _base_grid(args)
     q0 = _explosion_seed(args, args.alpha, grid)
     qn = iterate_qn(args.alpha, grid, args.depth, q0, args.eps_tail)
-    files = [write_grid_function(qn, out / "qn.csv")]
-    files.append(files[-1].with_name(files[-1].name + ".meta.json"))
+    files = _write_grid(qn, out / "qn.csv")
     probe_ts = [v for v in (2.0, 4.0, args.t_max) if v <= grid.t_end]
     vals = ", ".join(f"q({t:g})={evaluate(qn, t):.5f}" for t in probe_ts)
     print(f"explosion iterate at alpha={args.alpha}, n={args.depth}: {vals}")
@@ -253,7 +276,7 @@ def _cmd_paths(args) -> int:
     seed = _resolve_seed(args)
     manifest = _manifest_for(args, "paths", seed, {"t-step": args.t_step})
     out = _out_dir(args, "paths", manifest)
-    cfg = McConfig(seed=seed, samples=args.samples, depth=args.depth, workers=args.workers)
+    cfg = McConfig(seed=seed, samples=args.samples, workers=args.workers)
     t_points = _t_points(args.t_max, args.t_step)
     s_series, l_series = estimate_path_tails(args.alpha, t_points, args.depth, cfg)
     files = [
@@ -273,13 +296,12 @@ def _cmd_residual(args) -> int:
     seed = _resolve_seed(args)
     manifest = _manifest_for(args, "residual", seed, {})
     out = _out_dir(args, "residual", manifest)
-    grid = UniformGrid(args.t_max, args.step)
+    grid = _base_grid(args)
     v0 = picard_v0(args.alpha, grid, args.picard_k, args.eps_tail)
     vn = iterate_vn(args.alpha, grid, args.depth, v0, args.eps_tail)
     report = riccati_residual(vn, args.alpha)
     residual_fn = GridFunction(grid, report.residual, 0.0, range_bounds=False)
-    files = [write_grid_function(residual_fn, out / "residual.csv")]
-    files.append(files[-1].with_name(files[-1].name + ".meta.json"))
+    files = _write_grid(residual_fn, out / "residual.csv")
     print(
         f"residual at alpha={args.alpha}, n={args.depth}: "
         f"max |r| = {report.max_abs_residual:.3e} on t in [0, {report.interior_range[1]:g}] "
@@ -319,17 +341,16 @@ def _cmd_figures(args) -> int:
     seed = _resolve_seed(args)
     manifest = _manifest_for(args, "figures", seed, {"preset": args.preset})
     out = _out_dir(args, "figures", manifest)
-    grid = UniformGrid(args.t_max, args.step)
-    cfg = McConfig(seed=seed, samples=args.samples, depth=args.depth, workers=args.workers)
+    grid = _base_grid(args)
+    cfg = McConfig(seed=seed, samples=args.samples, workers=args.workers)
     hist = estimate_leaf_histogram(args.alpha, 2.0, args.depth, cfg)
     v0 = picard_v0(args.alpha, grid, args.picard_k, args.eps_tail)
     curve = estimate_v_curve(args.alpha, _t_points(args.t_max, 0.5), args.depth, v0, cfg)
     files = [
         write_histogram_csv(hist, out / "histogram.csv"),
         write_series_csv(curve, out / "vcurve_mc.csv"),
-        write_grid_function(v0, out / "v0_picard.csv"),
+        *_write_grid(v0, out / "v0_picard.csv"),
     ]
-    files.append(files[-1].with_name(files[-1].name + ".meta.json"))
     print(f"figures {args.preset} at alpha={args.alpha}: leaf-count mean {hist.mean():.3f}, "
           f"{len(curve.points)} v-curve points")
     _finalize(manifest, out, files)
@@ -357,7 +378,7 @@ def _cmd_sweep(args) -> int:
         args, "sweep", seed, {"alpha-list": args.alpha_list, "t": args.t, "max-n": args.max_n}
     )
     out = _out_dir(args, "sweep", manifest)
-    grid = UniformGrid(args.t_max, args.step)
+    grid = _base_grid(args)
     levels = range(5, args.max_n + 1, 5)
     rows = []
     for alpha in alphas:

@@ -101,8 +101,8 @@ class UniformGrid:
 
     @property
     def t_end(self) -> float:
-        """Last node; >= t_max by construction."""
-        return float(self.nodes[-1])
+        """Last node; >= t_max by construction.  Allocates no nodes."""
+        return _interval_count(self.t_max, self.step) * self.step
 
 
 def _interval_count(t_max: float, step: float) -> int:
@@ -243,7 +243,7 @@ def _extent_schedule(grid: UniformGrid, alpha: float, n_steps: int, expand_full:
     """Working-grid extents to try, ending at the full alpha**n expansion."""
     t_end = grid.t_end
     if alpha <= 1.0 or n_steps == 0:
-        return [t_end], t_end
+        return [t_end]
     try:  # only used as a bound, so an overflow stands as inf
         t_need = t_end * alpha**n_steps
     except OverflowError:
@@ -251,7 +251,7 @@ def _extent_schedule(grid: UniformGrid, alpha: float, n_steps: int, expand_full:
     if expand_full:
         if not math.isfinite(t_need):
             raise GridMemoryError("full expansion requested but alpha**n * t_max overflows")
-        return [t_need], t_need
+        return [t_need]
     extents = []
     t = t_end
     while True:
@@ -259,7 +259,7 @@ def _extent_schedule(grid: UniformGrid, alpha: float, n_steps: int, expand_full:
         if t >= t_need:
             break
         t = min(2.0 * t, t_need)
-    return extents, t_need
+    return extents
 
 
 def _run_q_iteration(
@@ -346,7 +346,7 @@ def _adaptive_levels(
         if n <= last_n:
             raise ValueError(f"levels must be increasing and >= 1, got {n} after {last_n}")
         last_n = n
-        extents, _ = _extent_schedule(grid, alpha, n, expand_full)
+        extents = _extent_schedule(grid, alpha, n, expand_full)
         for t_end in [t for t in chains if t not in extents]:
             del chains[t_end]
         for i, t_end in enumerate(extents):

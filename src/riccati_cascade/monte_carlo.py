@@ -25,10 +25,10 @@ import numpy as np
 from .cascade_core import (
     CascadeParams,
     ClockSource,
-    _census_batch,
-    _product_batch,
-    _tail_batch,
     derive_stream,
+    leaf_census,
+    sample_product_indicator,
+    sample_tail_flags,
 )
 from .grid_numerics import GridFunction, evaluate
 
@@ -53,21 +53,19 @@ _SPARE_GENERATORS: list[np.random.Generator] = []
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sample budget, recursion depth, seed, and a worker-count hint.
+    """Seed, sample budget and a worker-count hint.
 
     The hint never changes any estimate; it only sizes the process pool.
+    The depth is an argument of each estimator.
     """
 
     seed: int
     samples: int = 10000
-    depth: int = 10
     workers: int = 1
 
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not (0 <= int(self.seed) < 2**64):
@@ -158,7 +156,7 @@ def _map_chunks(fn, tasks: list, workers: int) -> list:
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
-    except (BrokenProcessPool, OSError, PermissionError) as exc:  # pragma: no cover
+    except (BrokenProcessPool, OSError) as exc:  # pragma: no cover
         warnings.warn(f"process pool unavailable ({exc}); running serially")
         return [fn(t) for t in tasks]
 
@@ -212,9 +210,15 @@ def _vcurve_chunk(task) -> np.ndarray:
     params = CascadeParams(alpha, seed)
     # v0 is a GridFunction: callable, with the tail policy built in
     return np.concatenate([
-        _product_batch(params, t, n, v0, clocks, streams)
+        sample_product_indicator(params, t, n, v0, clocks, streams)
         for streams in _sub_batches(params, base_index + lo, base_index + hi, _batch_size(n))
     ])
+
+
+def _check_depth(depth: int) -> None:
+    """Rejects a negative depth before a sub-batch is sized or a pool starts."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
 
 
 def _check_t_points(t_points) -> list[float]:
@@ -240,6 +244,7 @@ def estimate_v_curve(
     are valid per point.
     """
     clocks = clocks or ClockSource.exponential()
+    _check_depth(n)
     t_list = _check_t_points(t_points)
     heads = [(alpha, cfg.seed, t, n, v0, clocks) for t in t_list]
     per_point = _map_points(_vcurve_chunk, heads, cfg.samples, cfg.workers)
@@ -254,8 +259,8 @@ def _census_rows(
     params: CascadeParams, t: float, depth: int, clocks: ClockSource, first: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Leaves and alive vertices per depth of the trees on substreams
-    first..stop-1: row i is what `leaf_census` gives tree first + i."""
-    batches = [_census_batch(params, t, depth, clocks, streams)
+    first..stop-1, in sub-batches: row i is the census of tree first + i."""
+    batches = [leaf_census(params, t, depth, clocks, streams)
                for streams in _sub_batches(params, first, stop, _batch_size(depth))]
     leaves, alive = zip(*batches)
     return np.concatenate(leaves), np.concatenate(alive)
@@ -277,6 +282,7 @@ def estimate_leaf_histogram(
 ) -> Histogram:
     """Histogram of truncated leaf counts over cfg.samples independent trees."""
     clocks = clocks or ClockSource.exponential()
+    _check_depth(depth)
     [results] = _map_points(_hist_chunk, [(alpha, cfg.seed, float(t), depth, clocks)],
                             cfg.samples, cfg.workers)
     values = np.concatenate([r[0] for r in results])
@@ -297,7 +303,7 @@ def _tail_chunk(task) -> tuple[np.ndarray, np.ndarray]:
     alpha, seed, t, depth, clocks, base_index, lo, hi = task
     params = CascadeParams(alpha, seed)
     s_flags, l_flags = zip(*[
-        _tail_batch(params, t, depth, clocks, streams)
+        sample_tail_flags(params, t, depth, clocks, streams)
         for streams in _sub_batches(params, base_index + lo, base_index + hi, _TAIL_BATCH)
     ])
     return np.concatenate(s_flags).astype(float), np.concatenate(l_flags).astype(float)
@@ -324,6 +330,7 @@ def estimate_path_tails(
     if alpha <= 0.0:
         raise ValueError("path tails require alpha > 0")
     clocks = clocks or ClockSource.exponential()
+    _check_depth(depth)
     t_list = _check_t_points(t_points)
     heads = [(alpha, cfg.seed, t, depth, clocks) for t in t_list]
     per_point = _map_points(_tail_chunk, heads, cfg.samples, cfg.workers)

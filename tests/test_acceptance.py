@@ -76,7 +76,7 @@ def test_criterion_02_branching_mean_at_unit_rate():
     # classical oracle: the unit-rate binary fission population at time t
     # has mean e^t; the depth-20 truncation is exact to ~1e-14 at t=2
     start = time.perf_counter()
-    cfg = McConfig(seed=SEED, samples=10_000, depth=20)
+    cfg = McConfig(seed=SEED, samples=10_000)
     hist = estimate_leaf_histogram(1.0, 2.0, 20, cfg)
     mean, stderr = hist.mean(), hist.stderr()
     target = math.exp(2.0)
@@ -114,7 +114,7 @@ def test_criterion_04_mc_vs_deterministic_curve():
     start = time.perf_counter()
     v0 = picard_v0(1.5, GRID, 5)
     vn = iterate_vn(1.5, GRID, 10, v0)
-    cfg = McConfig(seed=SEED, samples=10_000, depth=10)
+    cfg = McConfig(seed=SEED, samples=10_000)
     series = estimate_v_curve(1.5, np.arange(0.0, 8.5, 0.5), 10, v0, cfg)
     reportobj = compare_series(series, vn, z_threshold=4.0, min_fraction=0.95)
     elapsed = time.perf_counter() - start
@@ -157,7 +157,7 @@ def test_criterion_06_heavy_tail_signature():
     start = time.perf_counter()
     hists = {}
     for alpha in (0.66, 1.5, 3.0):
-        cfg = McConfig(seed=SEED + 1, samples=10_000, depth=10)
+        cfg = McConfig(seed=SEED + 1, samples=10_000)
         hists[alpha] = estimate_leaf_histogram(alpha, 2.0, 10, cfg)
     max_ok = all(hists[1.5].max_observed > hists[a].max_observed for a in (0.66, 3.0))
     tail_ok = all(hists[1.5].count_at_least(64) > hists[a].count_at_least(64) for a in (0.66, 3.0))
@@ -175,10 +175,10 @@ def test_criterion_06_heavy_tail_signature():
 def test_criterion_07_three_ordered_solutions():
     start = time.perf_counter()
     ts = [4.0, 6.0, 8.0]
-    cfg = McConfig(seed=SEED + 3, samples=10_000, depth=30)
+    cfg = McConfig(seed=SEED + 3, samples=10_000)
     lower, _ = estimate_path_tails(1.5, ts, 30, cfg)
     v0 = picard_v0(1.5, GRID, 5)
-    cfg_v = McConfig(seed=SEED + 4, samples=10_000, depth=10)
+    cfg_v = McConfig(seed=SEED + 4, samples=10_000)
     middle = estimate_v_curve(1.5, ts, 10, v0, cfg_v)
     separated = all(
         lo.mean + 3.0 * lo.stderr < mid.mean - 3.0 * mid.stderr
@@ -230,7 +230,7 @@ def test_criterion_09_integrability_diagnostic():
     stable = abs(head_doubled - head) / head < 0.01
 
     # 1 - U_8(t) = P(L_7 > t): tree sampling gives the grid-end value independently
-    cfg = McConfig(seed=SEED, samples=20_000, depth=7)
+    cfg = McConfig(seed=SEED, samples=20_000)
     _, tail_mc = estimate_path_tails(1.5, [GRID.t_end], 7, cfg)
     tail_report = compare_series(tail_mc, q8, z_threshold=4.0, min_fraction=1.0)
     point = tail_mc.points[0]

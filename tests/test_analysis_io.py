@@ -33,7 +33,7 @@ GRID = UniformGrid(4.0, 0.05)
 
 def make_series():
     v0 = picard_v0(1.5, GRID, 3)
-    cfg = McConfig(seed=101, samples=64, depth=5)
+    cfg = McConfig(seed=101, samples=64)
     return estimate_v_curve(1.5, [0.0, 1.37, 2.0, 4.0], 5, v0, cfg)
 
 
@@ -57,7 +57,7 @@ class TestSeriesCsv:
 
 class TestHistogramCsv:
     def test_round_trip(self, tmp_path):
-        cfg = McConfig(seed=7, samples=500, depth=8)
+        cfg = McConfig(seed=7, samples=500)
         hist = estimate_leaf_histogram(1.5, 2.0, 8, cfg)
         path = write_histogram_csv(hist, tmp_path / "hist.csv")
         back = read_histogram_csv(path, t=hist.t, depth=hist.depth)

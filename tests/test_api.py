@@ -13,7 +13,6 @@ PUBLIC_NAMES = {
     # cascade_core
     "CascadeParams",
     "ClockSource",
-    "LeafCensus",
     "SamplerCapError",
     "crossing_horizon_cut",
     "derive_stream",
@@ -49,7 +48,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 32
+    assert len(PUBLIC_NAMES) == 31
     assert sorted(riccati_cascade.__all__) == sorted(PUBLIC_NAMES | {"__version__"})
     assert len(riccati_cascade.__all__) == len(set(riccati_cascade.__all__))
 

@@ -23,12 +23,8 @@ from riccati_cascade import (
 from riccati_cascade.cascade_core import (
     _DEFAULT_FRONTIER_CAP,
     _MAX_COUNT_DEPTH,
-    LeafCensus,
-    _census_batch,
     _level,
-    _product_batch,
     _survival_mass,
-    _tail_batch,
     _validate_horizon_depth,
 )
 from riccati_cascade.checks import _required_count
@@ -124,9 +120,10 @@ def _reference_leaf_census(
     clocks: ClockSource,
     stream: np.random.Generator,
     frontier_cap: int = _DEFAULT_FRONTIER_CAP,
-) -> LeafCensus:
-    """The per-tree census as it was before the batch core: the oracle for
-    the batch's tallies and for the clocks each tree consumes."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-tree census as it was before the batch core, as (leaves,
+    alive) per depth: the oracle for the batch's tallies and for the clocks
+    each tree consumes."""
     _validate_horizon_depth(t, depth, _MAX_COUNT_DEPTH)
     alpha = params.alpha
     leaves = np.zeros(depth + 1, dtype=np.int64)
@@ -151,7 +148,7 @@ def _reference_leaf_census(
                 f"alive frontier exceeded {frontier_cap} vertices at depth {d + 1}; "
                 "reduce depth or raise frontier_cap"
             )
-    return LeafCensus(t, depth, leaves, alive)
+    return leaves, alive
 
 
 def _reference_sample_product_indicator(
@@ -239,6 +236,17 @@ def _streams(p, first, count):
     return [derive_stream(p, i) for i in range(first, first + count)]
 
 
+def _census_of_one(p, t, depth, clocks, stream, **kwargs):
+    """(leaf count truncated at depth, some vertex alive at depth) of one tree."""
+    leaves, alive = leaf_census(p, t, depth, clocks, [stream], **kwargs)
+    return int(leaves[0].sum()), bool(alive[0, depth])
+
+
+def _flags_of_one(p, t, depth, clocks, stream, **kwargs):
+    s_flags, l_flags = sample_tail_flags(p, t, depth, clocks, [stream], **kwargs)
+    return bool(s_flags[0]), bool(l_flags[0])
+
+
 class TestDeriveStream:
     def test_same_index_replays_identically(self):
         p = params(1.5, seed=7)
@@ -293,8 +301,7 @@ class TestLeafCount:
         # the horizon-0 tree is just the root; no clock is consumed
         p = params(1.5, seed=3)
         stream = derive_stream(p, 0)
-        census = leaf_census(p, 0.0, 10, EXP, stream)
-        assert (census.count_up_to(10), census.truncated_at(10)) == (1, False)
+        assert _census_of_one(p, 0.0, 10, EXP, stream) == (1, False)
         untouched = derive_stream(p, 0).standard_exponential(1)
         assert stream.standard_exponential(1)[0] == untouched[0]
 
@@ -303,9 +310,8 @@ class TestLeafCount:
         # count is 2 exactly when the root clock stays below t
         p = params(0.0, seed=21)
         n = 10_000
-        counts = np.array(
-            [leaf_census(p, 2.0, 10, EXP, derive_stream(p, i)).count_up_to(10) for i in range(n)]
-        )
+        leaves, _ = leaf_census(p, 2.0, 10, EXP, _streams(p, 0, n))
+        counts = leaves.sum(axis=1)
         assert set(np.unique(counts)) <= {1, 2}
         p2 = 1.0 - math.exp(-2.0)
         band = 3.0 * math.sqrt(p2 * (1.0 - p2) / n)
@@ -314,23 +320,31 @@ class TestLeafCount:
     def test_constant_clock_enumeration(self):
         # alpha=1.5, t=2, unit clocks: every path crosses at generation 2
         p = params(1.5, seed=5)
-        census = leaf_census(p, 2.0, 10, ClockSource.constant(1.0), derive_stream(p, 0))
-        assert census.count_up_to(10) == 4
-        assert not census.truncated_at(10)
+        assert _census_of_one(p, 2.0, 10, ClockSource.constant(1.0), derive_stream(p, 0)) == (4, False)
 
     def test_depth_zero_base_case(self):
         # unit clock vs horizon 2: the root survives, so the count is 0 and truncated
         p = params(1.5, seed=5)
-        census = leaf_census(p, 2.0, 0, ClockSource.constant(1.0), derive_stream(p, 0))
-        assert census.count_up_to(0) == 0
-        assert census.truncated_at(0)
+        assert _census_of_one(p, 2.0, 0, ClockSource.constant(1.0), derive_stream(p, 0)) == (0, True)
+
+    def test_horizon_past_the_float_range_keeps_every_vertex_alive(self):
+        # (1e308 - c) * 1.5 overflows to inf, which survives every finite clock
+        p = params(1.5, seed=5)
+        leaves, alive = leaf_census(p, 1e308, 10, EXP, _streams(p, 0, 3))
+        assert not leaves.any()
+        assert np.array_equal(alive, np.tile(2 ** np.arange(11), (3, 1)))
+        x = sample_product_indicator(p, 1e308, 10, np.ones_like, EXP, _streams(p, 0, 3))
+        assert x.tolist() == [1.0, 1.0, 1.0]
+        for alpha in (1.0, 1.5):
+            flags = sample_tail_flags(params(alpha), 1e308, 10, EXP, _streams(p, 0, 3))
+            assert [f.tolist() for f in flags] == [[False] * 3] * 2
 
     def test_rejects_negative_horizon_and_huge_depth(self):
         p = params(1.0)
         with pytest.raises(ValueError):
-            leaf_census(p, -1.0, 5, EXP, derive_stream(p, 0))
+            leaf_census(p, -1.0, 5, EXP, [derive_stream(p, 0)])
         with pytest.raises(ValueError):
-            leaf_census(p, 1.0, 63, EXP, derive_stream(p, 0))
+            leaf_census(p, 1.0, 63, EXP, [derive_stream(p, 0)])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -341,8 +355,7 @@ class TestLeafCount:
     )
     def test_count_bounds(self, alpha, t, depth, idx):
         p = params(alpha, seed=99)
-        census = leaf_census(p, t, depth, EXP, derive_stream(p, idx))
-        count, truncated = census.count_up_to(depth), census.truncated_at(depth)
+        count, truncated = _census_of_one(p, t, depth, EXP, derive_stream(p, idx))
         assert 0 <= count <= 2**depth
         if not truncated:
             assert count >= 1
@@ -354,7 +367,7 @@ class TestLeafCount:
         # alive, so a tiny cap must trip
         p = params(3.0, seed=61)
         with pytest.raises(RuntimeError, match="frontier"):
-            leaf_census(p, 8.0, 20, EXP, derive_stream(p, 0), frontier_cap=8)
+            leaf_census(p, 8.0, 20, EXP, [derive_stream(p, 0)], frontier_cap=8)
 
 
 class TestPathExtrema:
@@ -403,25 +416,20 @@ class TestProductIndicator:
     def test_zero_horizon_is_one(self):
         p = params(1.5, seed=23)
         for n in (1, 3, 10):
-            x = sample_product_indicator(p, 0.0, n, lambda a: np.zeros_like(a), EXP, derive_stream(p, 0))
-            assert x == 1.0
+            x = sample_product_indicator(p, 0.0, n, lambda a: np.zeros_like(a), EXP, [derive_stream(p, 0)])
+            assert x.tolist() == [1.0]
 
     def test_constant_one_seed_absorbs(self):
         p = params(1.5, seed=23)
         for t in (0.0, 1.0, 4.0):
-            x = sample_product_indicator(p, t, 8, lambda a: np.ones_like(a), EXP, derive_stream(p, 1))
-            assert x == 1.0
+            x = sample_product_indicator(p, t, 8, lambda a: np.ones_like(a), EXP, [derive_stream(p, 1)])
+            assert x.tolist() == [1.0]
 
     def test_zero_seed_one_step_mean(self):
         # with a zero seed, X_1(t) is the indicator of the root crossing
         p = params(1.5, seed=29)
         n = 10_000
-        vals = np.array(
-            [
-                sample_product_indicator(p, 2.0, 1, lambda a: np.zeros_like(a), EXP, derive_stream(p, i))
-                for i in range(n)
-            ]
-        )
+        vals = sample_product_indicator(p, 2.0, 1, lambda a: np.zeros_like(a), EXP, _streams(p, 0, n))
         assert set(np.unique(vals)) <= {0.0, 1.0}
         p1 = math.exp(-2.0)
         band = 3.0 * math.sqrt(p1 * (1.0 - p1) / n)
@@ -429,27 +437,27 @@ class TestProductIndicator:
 
     def test_n_zero_evaluates_seed(self):
         p = params(1.5, seed=23)
-        x = sample_product_indicator(p, 3.0, 0, lambda a: np.full_like(a, 0.25), EXP, derive_stream(p, 0))
-        assert x == 0.25
+        x = sample_product_indicator(p, 3.0, 0, lambda a: np.full_like(a, 0.25), EXP, [derive_stream(p, 0)])
+        assert x.tolist() == [0.25]
 
     def test_out_of_range_seed_rejected(self):
         p = params(1.5, seed=23)
         with pytest.raises(ValueError):
-            sample_product_indicator(p, 1.0, 0, lambda a: np.full_like(a, 1.5), EXP, derive_stream(p, 0))
+            sample_product_indicator(p, 1.0, 0, lambda a: np.full_like(a, 1.5), EXP, [derive_stream(p, 0)])
         with pytest.raises(ValueError):
-            sample_product_indicator(p, 8.0, 2, lambda a: np.full_like(a, -0.1), EXP, derive_stream(p, 1))
+            sample_product_indicator(p, 8.0, 2, lambda a: np.full_like(a, -0.1), EXP, [derive_stream(p, 1)])
 
 
 class TestTailFlags:
     def test_zero_horizon_both_exceed(self):
         p = params(1.5, seed=37)
-        assert sample_tail_flags(p, 0.0, 10, EXP, derive_stream(p, 0)) == (True, True)
+        assert _flags_of_one(p, 0.0, 10, EXP, derive_stream(p, 0)) == (True, True)
 
     def test_depth_zero_matches_root_clock_law(self):
         # at depth 0 both extrema equal the root clock: P(exceeds t) = e^-t
         p = params(1.5, seed=41)
         n = 10_000
-        s_flags, l_flags = _tail_batch(p, 1.0, 0, EXP, _streams(p, 0, n))
+        s_flags, l_flags = sample_tail_flags(p, 1.0, 0, EXP, _streams(p, 0, n))
         assert np.array_equal(s_flags, l_flags)
         p1 = math.exp(-1.0)
         band = 3.0 * math.sqrt(p1 * (1.0 - p1) / n)
@@ -458,13 +466,13 @@ class TestTailFlags:
     def test_s_exceeds_implies_l_exceeds(self):
         for alpha in (0.66, 1.5, 3.0):
             p = params(alpha, seed=43)
-            s_flags, l_flags = _tail_batch(p, 2.0, 12, EXP, _streams(p, 0, 500))
+            s_flags, l_flags = sample_tail_flags(p, 2.0, 12, EXP, _streams(p, 0, 500))
             assert np.all(l_flags | ~s_flags)
 
     def test_nonexplosive_crossing_is_certain(self):
         # alpha below 1: path sums grow geometrically, every tree crosses t=2
         p = params(0.66, seed=47)
-        _, l_flags = _tail_batch(p, 2.0, 30, EXP, _streams(p, 0, 2000))
+        _, l_flags = sample_tail_flags(p, 2.0, 30, EXP, _streams(p, 0, 2000))
         assert l_flags.all()
 
     def test_matches_census_distribution(self):
@@ -472,7 +480,7 @@ class TestTailFlags:
         p = params(1.5, seed=53)
         n = 4000
         _, alive = _census_rows(p, 2.0, 6, EXP, 0, n)
-        s_flags, _ = _tail_batch(p, 2.0, 6, EXP, _streams(p, n, n))
+        s_flags, _ = sample_tail_flags(p, 2.0, 6, EXP, _streams(p, n, n))
         se = math.sqrt(2.0 * 0.25 / n)
         assert abs(np.mean(alive[:, 6] > 0) - np.mean(~s_flags)) < 5.0 * se
 
@@ -508,8 +516,8 @@ class TestTailFlags:
 
     def test_determinism(self):
         p = params(3.0, seed=59)
-        a = sample_tail_flags(p, 2.0, 25, EXP, derive_stream(p, 9))
-        b = sample_tail_flags(p, 2.0, 25, EXP, derive_stream(p, 9))
+        a = _flags_of_one(p, 2.0, 25, EXP, derive_stream(p, 9))
+        b = _flags_of_one(p, 2.0, 25, EXP, derive_stream(p, 9))
         assert a == b
 
     @pytest.mark.parametrize("alpha", [0.66, 1.0, 1.5, 3.0])
@@ -525,8 +533,8 @@ class TestTailFlags:
                     got_streams = _streams(p, index, size)
                     want_streams = _streams(p, index, size)
                     index += size
-                    s_flags, l_flags = _tail_batch(p, t, depth, EXP, got_streams)
-                    want = [sample_tail_flags(p, t, depth, EXP, s) for s in want_streams]
+                    s_flags, l_flags = sample_tail_flags(p, t, depth, EXP, got_streams)
+                    want = [_flags_of_one(p, t, depth, EXP, s) for s in want_streams]
                     assert list(zip(s_flags.tolist(), l_flags.tolist())) == want, (t, depth, size)
                     assert _next_draws(got_streams) == _next_draws(want_streams)
 
@@ -540,7 +548,7 @@ class TestTailFlags:
         cases = [(t, 30 if alpha <= 1.0 else int(math.log(cut / t) / math.log(alpha)))
                  for t in (0.0, 0.5, 2.0, 8.0)[alpha > 1.0:]]
         for k, (t, depth) in enumerate(cases):
-            s_flags, l_flags = _tail_batch(p, t, depth, EXP, _streams(p, 200 * k, 200))
+            s_flags, l_flags = sample_tail_flags(p, t, depth, EXP, _streams(p, 200 * k, 200))
             leaves, alive = _census_rows(p, t, depth, EXP, 200 * k, 200 * (k + 1))
             assert np.array_equal(s_flags, alive[:, depth] == 0), (t, depth)
             assert np.array_equal(l_flags, leaves.sum(axis=1) > 0), (t, depth)
@@ -552,8 +560,8 @@ class TestTailFlags:
         # every certified survivor
         p, depth = params(1.0, seed=83), 24
         got_streams, want_streams = _streams(p, 0, 100), _streams(p, 0, 100)
-        s_flags, l_flags = _tail_batch(p, 10.0, depth, EXP, got_streams)
-        leaves, alive = _census_batch(p, 10.0, depth, EXP, want_streams)
+        s_flags, l_flags = sample_tail_flags(p, 10.0, depth, EXP, got_streams)
+        leaves, alive = leaf_census(p, 10.0, depth, EXP, want_streams)
         assert np.array_equal(s_flags, alive[:, depth] == 0)
         assert np.array_equal(l_flags, leaves.sum(axis=1) > 0)
         early = [a != b for a, b in zip(_next_draws(got_streams), _next_draws(want_streams))]
@@ -586,7 +594,7 @@ class TestTailFlags:
         # at alpha = 1.1 and t = 8 a level walk without the survival
         # certificate grows millions of vertices per tree by depth 30
         p = params(1.1, seed=89)
-        s_flags, _ = _tail_batch(p, 8.0, 30, EXP, _streams(p, 0, 32), frontier_cap=1 << 17)
+        s_flags, _ = sample_tail_flags(p, 8.0, 30, EXP, _streams(p, 0, 32), frontier_cap=1 << 17)
         assert not s_flags.any()
 
     def test_root_at_the_cut_draws_its_clock(self):
@@ -594,7 +602,7 @@ class TestTailFlags:
         for alpha in (1.5, 3.0):
             p = params(alpha, seed=79)
             stream, twin = derive_stream(p, 0), derive_stream(p, 0)
-            sample_tail_flags(p, crossing_horizon_cut(alpha), 0, EXP, stream)
+            sample_tail_flags(p, crossing_horizon_cut(alpha), 0, EXP, [stream])
             twin.standard_exponential(1)
             assert _next_draws([stream]) == _next_draws([twin]), alpha
 
@@ -604,7 +612,7 @@ class TestTailFlags:
         # still look for a crossing, and one crossed for a survivor
         p = params(alpha, seed=73)
         for k, t in enumerate((2.0, 8.0, 30.0)):
-            s_flags, l_flags = _tail_batch(p, t, 30, EXP, _streams(p, 100 * k, 100))
+            s_flags, l_flags = sample_tail_flags(p, t, 30, EXP, _streams(p, 100 * k, 100))
             want = [_reference_walk_flags(p, t, 30, EXP, s) for s in _streams(p, 100 * k, 100)]
             assert list(zip(s_flags.tolist(), l_flags.tolist())) == want, t
 
@@ -619,12 +627,12 @@ class TestTailFlags:
         for t in (0.0, 0.3, 0.5, 0.7, 2.0, 8.0, 60.0, 200.0):
             for depth in (0, 1, 5, 12):
                 want = _reference_tail_flags(p, t, depth, clocks, derive_stream(p, 0))
-                assert sample_tail_flags(p, t, depth, clocks, derive_stream(p, 0)) == want, (t, depth)
+                assert _flags_of_one(p, t, depth, clocks, derive_stream(p, 0)) == want, (t, depth)
 
     def test_frontier_cap_raises_typed_error(self):
         p = params(1.5, seed=71)
         with pytest.raises(SamplerCapError, match="frontier"):
-            sample_tail_flags(p, 8.0, 30, EXP, derive_stream(p, 0), frontier_cap=3)
+            sample_tail_flags(p, 8.0, 30, EXP, [derive_stream(p, 0)], frontier_cap=3)
 
 
 class TestBatchCore:
@@ -648,13 +656,14 @@ class TestBatchCore:
                     index += size
                     got_streams = [derive_stream(p, i) for i in ids]
                     want_streams = [derive_stream(p, i) for i in ids]
-                    leaves, alive = _census_batch(p, t, n, clocks, got_streams)
-                    want = [_reference_leaf_census(p, t, n, clocks, s) for s in want_streams]
-                    assert np.array_equal(leaves, [c.leaves_by_depth for c in want])
-                    assert np.array_equal(alive, [c.alive_by_depth for c in want])
+                    leaves, alive = leaf_census(p, t, n, clocks, got_streams)
+                    want_leaves, want_alive = zip(*[_reference_leaf_census(p, t, n, clocks, s)
+                                                    for s in want_streams])
+                    assert np.array_equal(leaves, want_leaves)
+                    assert np.array_equal(alive, want_alive)
                     assert _next_draws(got_streams) == _next_draws(want_streams)
 
-                    got = _product_batch(p, t, n, self.X0, clocks, got_streams)
+                    got = sample_product_indicator(p, t, n, self.X0, clocks, got_streams)
                     want = [
                         _reference_sample_product_indicator(p, t, n, self.X0, clocks, s)
                         for s in want_streams
@@ -696,28 +705,18 @@ class TestBatchCore:
             ids = range(first, first + size)
             got_streams = [derive_stream(p, i) for i in ids]
             want_streams = [derive_stream(p, i) for i in ids]
-            leaves, alive = _census_batch(p, t, 10, EXP, got_streams)
-            want = [_reference_leaf_census(p, t, 10, EXP, s) for s in want_streams]
-            assert np.array_equal(leaves, [c.leaves_by_depth for c in want])
-            assert np.array_equal(alive, [c.alive_by_depth for c in want])
+            leaves, alive = leaf_census(p, t, 10, EXP, got_streams)
+            want_leaves, want_alive = zip(*[_reference_leaf_census(p, t, 10, EXP, s)
+                                            for s in want_streams])
+            assert np.array_equal(leaves, want_leaves)
+            assert np.array_equal(alive, want_alive)
             assert _next_draws(got_streams) == _next_draws(want_streams)
 
-            got = _product_batch(p, t, 10, self.X0, EXP, got_streams)
+            got = sample_product_indicator(p, t, 10, self.X0, EXP, got_streams)
             want = [_reference_sample_product_indicator(p, t, 10, self.X0, EXP, s)
                     for s in want_streams]
             assert got.tolist() == want
             assert _next_draws(got_streams) == _next_draws(want_streams)
-
-    def test_public_samplers_are_batches_of_one(self):
-        p = params(1.5, seed=79)
-        for i in range(50):
-            census = leaf_census(p, 2.0, 10, EXP, derive_stream(p, i))
-            want = _reference_leaf_census(p, 2.0, 10, EXP, derive_stream(p, i))
-            assert np.array_equal(census.leaves_by_depth, want.leaves_by_depth)
-            assert np.array_equal(census.alive_by_depth, want.alive_by_depth)
-            x = sample_product_indicator(p, 3.0, 10, self.X0, EXP, derive_stream(p, i))
-            assert x == _reference_sample_product_indicator(p, 3.0, 10, self.X0, EXP,
-                                                            derive_stream(p, i))
 
     def test_frontier_cap_is_per_tree(self):
         # one tree over the cap fails its batch; trees under it pass even
@@ -727,21 +726,21 @@ class TestBatchCore:
         over, under = [], []
         for i in range(60):
             try:
-                census = _reference_leaf_census(p, t, depth, EXP, derive_stream(p, i), cap)
+                _, alive = _reference_leaf_census(p, t, depth, EXP, derive_stream(p, i), cap)
             except SamplerCapError:
                 over.append(i)
             else:
-                under.append((2 * int(census.alive_by_depth[:depth].max()), i))
+                under.append((2 * int(alive[:depth].max()), i))
         largest = sorted(under)[-4:]
         assert over and sum(peak for peak, _ in largest) > cap
         calm = sorted(i for _, i in largest)
 
-        leaves, _ = _census_batch(p, t, depth, EXP, [derive_stream(p, i) for i in calm], cap)
+        leaves, _ = leaf_census(p, t, depth, EXP, [derive_stream(p, i) for i in calm], cap)
         for row, i in zip(leaves, calm):
-            want = _reference_leaf_census(p, t, depth, EXP, derive_stream(p, i), cap)
-            assert np.array_equal(row, want.leaves_by_depth)
+            want, _ = _reference_leaf_census(p, t, depth, EXP, derive_stream(p, i), cap)
+            assert np.array_equal(row, want)
         mixed = calm[:2] + over[:1] + calm[2:]
         with pytest.raises(SamplerCapError, match="frontier"):
-            _census_batch(p, t, depth, EXP, [derive_stream(p, i) for i in mixed], cap)
+            leaf_census(p, t, depth, EXP, [derive_stream(p, i) for i in mixed], cap)
         with pytest.raises(SamplerCapError, match="frontier"):
-            _product_batch(p, t, depth, self.X0, EXP, [derive_stream(p, i) for i in mixed], cap)
+            sample_product_indicator(p, t, depth, self.X0, EXP, [derive_stream(p, i) for i in mixed], cap)

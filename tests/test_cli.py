@@ -89,7 +89,7 @@ def _reference_figure_bundle(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = UniformGrid(t_max, step)
-    cfg = McConfig(seed=seed, samples=samples, depth=depth, workers=workers)
+    cfg = McConfig(seed=seed, samples=samples, workers=workers)
 
     hist = estimate_leaf_histogram(alpha, t, depth, cfg)
     v0 = picard_v0(alpha, grid, picard_k, eps_tail)
@@ -140,6 +140,13 @@ class TestUsage:
         ("sweep", "--alpha-list=-1,1.5"),
         ("hist", "--samples", "0"),
         ("qn", "--depth", "-1"),
+        ("hist", "--depth", "-1"),
+        # sizes past DEFAULT_NODE_CAP are rejected before anything is allocated
+        ("vcurve", "--step", "1e-12"),
+        ("qn", "--alpha", "0.66", "--step", "1e-12"),
+        ("v0", "--step", "1e-320"),
+        ("vcurve", "--t-step", "1e-9"),
+        ("paths", "--t-max", "-5"),
     ], ids=" ".join)
     def test_bad_value_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv, "--seed", "1") == 2

@@ -226,7 +226,7 @@ def _reference_picard(alpha, grid, k, eps_tail=grid_numerics.DEFAULT_EPS_TAIL):
     Returns the values on `grid` and the node counts of the working grids
     tried, the accepted one last (accepted when 1 - U < eps_tail at its end).
     """
-    extents, _ = grid_numerics._extent_schedule(grid, alpha, k, False)
+    extents = grid_numerics._extent_schedule(grid, alpha, k, False)
     tried = []
     for t_end in extents:
         work_nodes = grid_numerics._working_nodes(t_end, grid.step, grid_numerics.DEFAULT_NODE_CAP)

@@ -22,9 +22,9 @@ from riccati_cascade import (
     iterate_vn,
     picard_v0,
     sample_product_indicator,
+    sample_tail_flags,
 )
 from riccati_cascade import monte_carlo
-from riccati_cascade.cascade_core import _tail_batch
 
 GRID = UniformGrid(8.0, 0.01)
 EXP = ClockSource.exponential()
@@ -38,6 +38,15 @@ class TestConfig:
             McConfig(seed=1, workers=0)
         with pytest.raises(ValueError):
             McConfig(seed=-1)
+
+    def test_estimators_reject_a_negative_depth(self):
+        cfg = McConfig(seed=1, samples=10)
+        v0 = picard_v0(1.5, GRID, 5)
+        for estimate in (lambda: estimate_v_curve(1.5, [1.0], -1, v0, cfg),
+                         lambda: estimate_leaf_histogram(1.5, 2.0, -1, cfg),
+                         lambda: estimate_path_tails(1.5, [1.0], -1, cfg)):
+            with pytest.raises(ValueError, match="depth must be >= 0"):
+                estimate()
 
 
 class TestVCurve:
@@ -74,7 +83,7 @@ class TestVCurve:
         p = CascadeParams(1.5, cfg.seed)
         for t_idx, t in enumerate(ts):
             draws = [
-                sample_product_indicator(p, t, 8, v0, EXP, derive_stream(p, t_idx * cfg.samples + i))
+                sample_product_indicator(p, t, 8, v0, EXP, [derive_stream(p, t_idx * cfg.samples + i)])
                 for i in range(cfg.samples)
             ]
             assert series.points[t_idx].mean == np.mean(draws)
@@ -135,20 +144,20 @@ class TestPathTails:
 
     def test_critical_value_min_path_never_finite_early(self):
         # at alpha=1 the depth-30 min path sum concentrates near 31
-        cfg = McConfig(seed=10, samples=1000, depth=30)
+        cfg = McConfig(seed=10, samples=1000)
         series, _ = estimate_path_tails(1.0, [1.0, 4.0], 30, cfg)
         for p in series.points:
             assert p.mean >= 1.0 - 3.0 * max(p.stderr, 1e-12)
 
     def test_series_are_flag_means_over_one_set_of_trees(self):
         # 1100 samples span a full and a partial chunk per point
-        cfg = McConfig(seed=15, samples=1100, depth=12)
+        cfg = McConfig(seed=15, samples=1100)
         ts = [0.5, 2.0, 4.0]
         s_series, l_series = estimate_path_tails(1.5, ts, 12, cfg)
         p = CascadeParams(1.5, cfg.seed)
         for t_idx, t in enumerate(ts):
             streams = [derive_stream(p, t_idx * cfg.samples + i) for i in range(cfg.samples)]
-            s_flags, l_flags = _tail_batch(p, t, 12, EXP, streams)
+            s_flags, l_flags = sample_tail_flags(p, t, 12, EXP, streams)
             assert s_series.points[t_idx].mean == np.mean(s_flags)
             assert l_series.points[t_idx].mean == np.mean(l_flags)
             assert l_series.points[t_idx].mean >= s_series.points[t_idx].mean
@@ -156,7 +165,7 @@ class TestPathTails:
 
     def test_strong_hyperexplosion_matches_picard_complement(self):
         u8 = picard_v0(3.0, GRID, 8)
-        cfg = McConfig(seed=12, samples=2000, depth=30)
+        cfg = McConfig(seed=12, samples=2000)
         _, series = estimate_path_tails(3.0, [2.0, 4.0], 30, cfg)
         for p in series.points:
             ref = 1.0 - evaluate(u8, p.t)
@@ -184,7 +193,7 @@ class TestReproducibility:
         ts = [1.0, 2.0, 3.0]
         runs = []
         for workers in (1, 2):
-            cfg = McConfig(seed=13, samples=2345, depth=8, workers=workers)
+            cfg = McConfig(seed=13, samples=2345, workers=workers)
             curve = estimate_v_curve(1.5, ts, 8, v0, cfg)
             hist = estimate_leaf_histogram(1.5, 2.0, 8, cfg)
             s_tail, l_tail = estimate_path_tails(1.5, ts, 15, cfg)
