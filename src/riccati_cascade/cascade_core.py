@@ -159,8 +159,7 @@ def _check_frontier(survivors: int, alive: np.ndarray, frontier_cap: int, depth:
         )
 
 
-# a horizon past the float range overflows to inf, which survives every clock;
-# the tail-flag walk needs no guard: alpha > 1 cuts large horizons, alpha <= 1 shrinks them
+# a horizon past the float range overflows to inf, which survives every clock
 @np.errstate(over="ignore")
 def leaf_census(
     params: CascadeParams,
@@ -327,6 +326,7 @@ def _survival_mass(parents, width, sizes, clocks_left, alpha) -> np.ndarray:
     return width * np.bincount(np.arange(len(sizes)).repeat(sizes), p, len(sizes))
 
 
+@np.errstate(over="ignore")  # as in leaf_census; inf lies beyond the cut
 def sample_tail_flags(
     params: CascadeParams,
     t: float,

@@ -3,12 +3,14 @@
 Each run resolves its configuration (flag > RICCATI_* environment variable >
 default), derives a deterministic output directory `<out>/<cmd>/<digest>/`
 from the configuration digest, writes its data files plus a manifest, and
-prints the seed so any run can be reproduced exactly.
+prints the seed so any run can be reproduced exactly.  `main` does all of
+that once; a handler only computes and writes its data files.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import secrets
@@ -131,40 +133,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is None:
-        seed = secrets.randbits(63)
-        print(f"generated seed: {seed}")
-        return seed
-    return int(args.seed)
+# parsed dests that never enter the configuration digest
+_UNDIGESTED = {"out", "workers", "command"}
+_MANIFEST_FIELDS = {f.name for f in dataclasses.fields(RunManifest)}
 
 
-def _manifest_for(args, command: str, seed: int, extras: dict) -> RunManifest:
-    extra_str = " ".join(f"--{k} {v}" for k, v in sorted(extras.items()))
-    cmd = f"{command} {extra_str}".strip()
-    return RunManifest.create(
-        command=cmd,
-        alpha=args.alpha,
-        t_max=args.t_max,
-        step=args.step,
-        eps_tail=args.eps_tail,
-        depth=args.depth,
-        picard_k=args.picard_k,
-        samples=args.samples,
-        seed=seed,
-    )
-
-
-def _finalize(manifest: RunManifest, out_dir: Path, files: list[Path]) -> Path:
-    manifest = manifest.with_outputs(files)
-    path = write_manifest(manifest, out_dir / "manifest.json")
-    print(f"wrote {len(files)} files to {out_dir}")
-    return path
-
-
-def _out_dir(args, command: str, manifest: RunManifest) -> Path:
-    """`<out>/<command>/<config digest>`; the first file written creates it."""
-    return Path(args.out) / command / manifest.config_digest()
+def _manifest_for(args, seed: int) -> RunManifest:
+    """The run's manifest: every dest that is not a manifest field (nor
+    --out or --workers) is named in the command string as `--<flag> <value>`."""
+    config = {k: v for k, v in vars(args).items() if k not in _UNDIGESTED}
+    config["seed"] = seed
+    fields = {k: config.pop(k) for k in _MANIFEST_FIELDS & config.keys()}
+    extras = sorted((k.replace("_", "-"), v) for k, v in config.items())
+    command = " ".join([args.command, *(f"--{k} {v}" for k, v in extras)])
+    return RunManifest.create(command=command, **fields)
 
 
 def _t_points(t_max: float, t_step: float) -> np.ndarray:
@@ -205,10 +187,7 @@ def _explosion_seed(args, alpha: float, grid: UniformGrid) -> GridFunction:
     return picard_v0(alpha, grid, args.picard_k, args.eps_tail).complement()
 
 
-def _cmd_hist(args) -> int:
-    seed = _resolve_seed(args)
-    manifest = _manifest_for(args, "hist", seed, {"t": args.t})
-    out = _out_dir(args, "hist", manifest)
+def _cmd_hist(args, seed: int, out: Path) -> tuple[list[Path], int]:
     cfg = McConfig(seed=seed, samples=args.samples, workers=args.workers)
     hist = estimate_leaf_histogram(args.alpha, args.t, args.depth, cfg)
     files = [write_histogram_csv(hist, out / "histogram.csv")]
@@ -216,14 +195,10 @@ def _cmd_hist(args) -> int:
         f"leaf counts at alpha={args.alpha}, t={args.t}, depth={args.depth}: "
         f"mean={hist.mean():.3f} max={hist.max_observed} truncated={hist.truncated_count}/{hist.total}"
     )
-    _finalize(manifest, out, files)
-    return 0
+    return files, 0
 
 
-def _cmd_vcurve(args) -> int:
-    seed = _resolve_seed(args)
-    manifest = _manifest_for(args, "vcurve", seed, {"t-step": args.t_step})
-    out = _out_dir(args, "vcurve", manifest)
+def _cmd_vcurve(args, seed: int, out: Path) -> tuple[list[Path], int]:
     t_points = _t_points(args.t_max, args.t_step)
     grid = _base_grid(args)
     v0 = picard_v0(args.alpha, grid, args.picard_k, args.eps_tail)
@@ -235,14 +210,10 @@ def _cmd_vcurve(args) -> int:
     ]
     lo, hi = series.means().min(), series.means().max()
     print(f"v-curve at alpha={args.alpha}: {len(series.points)} points, range [{lo:.4f}, {hi:.4f}]")
-    _finalize(manifest, out, files)
-    return 0
+    return files, 0
 
 
-def _cmd_v0(args) -> int:
-    seed = _resolve_seed(args)
-    manifest = _manifest_for(args, "v0", seed, {})
-    out = _out_dir(args, "v0", manifest)
+def _cmd_v0(args, seed: int, out: Path) -> tuple[list[Path], int]:
     grid = _base_grid(args)
     u_k = picard_v0(args.alpha, grid, args.picard_k, args.eps_tail)
     files = _write_grid(u_k, out / "v0_picard.csv")
@@ -253,14 +224,10 @@ def _cmd_v0(args) -> int:
         f"Picard seed at alpha={args.alpha}, k={args.picard_k}: "
         f"U_k(t_max)={u_k.values[-1]:.6f}; max|U_{args.picard_k} - U_{k_ref}| = {gap:.3e}"
     )
-    _finalize(manifest, out, files)
-    return 0
+    return files, 0
 
 
-def _cmd_qn(args) -> int:
-    seed = _resolve_seed(args)
-    manifest = _manifest_for(args, "qn", seed, {})
-    out = _out_dir(args, "qn", manifest)
+def _cmd_qn(args, seed: int, out: Path) -> tuple[list[Path], int]:
     grid = _base_grid(args)
     q0 = _explosion_seed(args, args.alpha, grid)
     qn = iterate_qn(args.alpha, grid, args.depth, q0, args.eps_tail)
@@ -268,14 +235,10 @@ def _cmd_qn(args) -> int:
     probe_ts = [v for v in (2.0, 4.0, args.t_max) if v <= grid.t_end]
     vals = ", ".join(f"q({t:g})={evaluate(qn, t):.5f}" for t in probe_ts)
     print(f"explosion iterate at alpha={args.alpha}, n={args.depth}: {vals}")
-    _finalize(manifest, out, files)
-    return 0
+    return files, 0
 
 
-def _cmd_paths(args) -> int:
-    seed = _resolve_seed(args)
-    manifest = _manifest_for(args, "paths", seed, {"t-step": args.t_step})
-    out = _out_dir(args, "paths", manifest)
+def _cmd_paths(args, seed: int, out: Path) -> tuple[list[Path], int]:
     cfg = McConfig(seed=seed, samples=args.samples, workers=args.workers)
     t_points = _t_points(args.t_max, args.t_step)
     s_series, l_series = estimate_path_tails(args.alpha, t_points, args.depth, cfg)
@@ -288,14 +251,10 @@ def _cmd_paths(args) -> int:
         f"P(S>{t_points[-1]:g})={s_series.points[-1].mean:.4f}, "
         f"P(L>{t_points[-1]:g})={l_series.points[-1].mean:.4f}"
     )
-    _finalize(manifest, out, files)
-    return 0
+    return files, 0
 
 
-def _cmd_residual(args) -> int:
-    seed = _resolve_seed(args)
-    manifest = _manifest_for(args, "residual", seed, {})
-    out = _out_dir(args, "residual", manifest)
+def _cmd_residual(args, seed: int, out: Path) -> tuple[list[Path], int]:
     grid = _base_grid(args)
     v0 = picard_v0(args.alpha, grid, args.picard_k, args.eps_tail)
     vn = iterate_vn(args.alpha, grid, args.depth, v0, args.eps_tail)
@@ -307,14 +266,11 @@ def _cmd_residual(args) -> int:
         f"max |r| = {report.max_abs_residual:.3e} on t in [0, {report.interior_range[1]:g}] "
         f"({report.interior_count} nodes)"
     )
-    _finalize(manifest, out, files)
-    return 0
+    return files, 0
 
 
-def _cmd_check(args) -> int:
-    seed = _resolve_seed(args)
-    manifest = _manifest_for(args, "check", seed, {"fast": args.fast})
-    out = _out_dir(args, "check", manifest)
+def _cmd_check(args, seed: int, out: Path) -> tuple[list[Path], int]:
+    """The one handler that can return 1: when any check fails."""
     results = run_all_checks(args.alpha, seed, samples=min(args.samples, 2000), fast=args.fast)
     lines = []
     for r in results:
@@ -325,22 +281,17 @@ def _cmd_check(args) -> int:
     report = out / "check_report.txt"
     out.mkdir(parents=True, exist_ok=True)
     report.write_text("\n".join(lines) + "\n")
-    _finalize(manifest, out, [report])
     failed = sum(not r.passed for r in results)
     if failed:
         print(f"{failed} of {len(results)} checks failed", file=sys.stderr)
-        return 1
+        return [report], 1
     print(f"all {len(results)} checks passed")
-    return 0
+    return [report], 0
 
 
-def _cmd_figures(args) -> int:
+def _cmd_figures(args, seed: int, out: Path) -> tuple[list[Path], int]:
     """The `hist` output at t = 2 and the `vcurve` outputs at t-step 0.5, at
-    the preset's alpha."""
-    args.alpha = FIGURE_PRESETS[args.preset]
-    seed = _resolve_seed(args)
-    manifest = _manifest_for(args, "figures", seed, {"preset": args.preset})
-    out = _out_dir(args, "figures", manifest)
+    the preset's alpha (set by `main`)."""
     grid = _base_grid(args)
     cfg = McConfig(seed=seed, samples=args.samples, workers=args.workers)
     hist = estimate_leaf_histogram(args.alpha, 2.0, args.depth, cfg)
@@ -353,12 +304,10 @@ def _cmd_figures(args) -> int:
     ]
     print(f"figures {args.preset} at alpha={args.alpha}: leaf-count mean {hist.mean():.3f}, "
           f"{len(curve.points)} v-curve points")
-    _finalize(manifest, out, files)
-    return 0
+    return files, 0
 
 
-def _cmd_sweep(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_sweep(args, seed: int, out: Path) -> tuple[list[Path], int]:
     try:
         alphas = [float(a) for a in args.alpha_list.split(",") if a.strip()]
     except ValueError:
@@ -374,10 +323,6 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--max-n must be >= 5, got {args.max_n}")
     if not (math.isfinite(args.gap_tol) and args.gap_tol > 0.0):
         raise ValueError(f"--gap-tol must be finite and > 0, got {args.gap_tol}")
-    manifest = _manifest_for(
-        args, "sweep", seed, {"alpha-list": args.alpha_list, "t": args.t, "max-n": args.max_n}
-    )
-    out = _out_dir(args, "sweep", manifest)
     grid = _base_grid(args)
     levels = range(5, args.max_n + 1, 5)
     rows = []
@@ -407,8 +352,7 @@ def _cmd_sweep(args) -> int:
         fh.write("alpha,t,q_estimate,sup_gap,n_iterations,converged,note\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
-    _finalize(manifest, out, [sweep_path])
-    return 0
+    return [sweep_path], 0
 
 
 _HANDLERS = {
@@ -435,7 +379,19 @@ def main(argv=None) -> int:
     try:
         if not 0.0 < args.eps_tail < 1.0:  # a tail of 1 or more certifies every extent
             raise ValueError(f"--eps-tail must be in (0, 1), got {args.eps_tail}")
-        return _HANDLERS[args.command](args)
+        if args.command == "figures":
+            args.alpha = FIGURE_PRESETS[args.preset]
+        seed = args.seed
+        if seed is None:
+            seed = secrets.randbits(63)
+            print(f"generated seed: {seed}")
+        manifest = _manifest_for(args, seed)
+        out = Path(args.out) / args.command / manifest.config_digest()
+        # the handler validates before its first write, so exit 2 leaves no directory
+        files, status = _HANDLERS[args.command](args, seed, out)
+        write_manifest(manifest.with_outputs(files), out / "manifest.json")
+        print(f"wrote {len(files)} files to {out}")
+        return status
     except (ValueError, GridMemoryError, SamplerCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,9 +25,12 @@ and differ only in the source s and the seed q_0:
   see tests for the measured O(h^2) correspondence between both forms).
 
 For alpha > 1 the argument alpha*(t - u) leaves the requested grid, so the
-chain runs on an adaptively extended working grid: the extent doubles
-until the final iterate's tail q falls below eps_tail, at which point the
-flat extrapolation q = 0 (U = v = 1) is certified to that accuracy.
+chain runs on an adaptively extended working grid and extrapolates each
+level flat beyond it.  Far out every level is the scalar map of the one
+before, tau_j = 2 tau_{j-1} - tau_{j-1}^2 (s vanishes there), from tau_0 the
+seed's tail, so that is the flat value carried.  The extent doubles until
+the final iterate at the working grid's end is within eps_tail of tau_n,
+which certifies the extrapolation to that accuracy.
 Values are clipped into [0, 1] at every level; the trapezoid rule
 otherwise overshoots by O(h^2) at large t and the excess compounds
 through the squaring.
@@ -217,9 +220,16 @@ def convolve_kernel(f: GridFunction, alpha: float, grid: UniformGrid) -> GridFun
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     nodes = grid.nodes
-    phi = np.interp(alpha * nodes, f.grid.nodes, f.values, right=f.tail_value)
+    phi = np.interp(_scaled(alpha, nodes), f.grid.nodes, f.values, right=f.tail_value)
     g = _trapezoid_convolve(phi, grid.step)
     return GridFunction(grid, g, float(g[-1]), range_bounds=False)
+
+
+def _scaled(alpha: float, nodes: np.ndarray) -> np.ndarray:
+    """alpha * nodes, where a product past the float range is inf without a
+    warning: it lies beyond every grid, so it reads the tail either way."""
+    with np.errstate(over="ignore"):
+        return alpha * nodes
 
 
 def _require_probability_values(f: GridFunction, name: str) -> None:
@@ -269,21 +279,26 @@ def _run_q_iteration(
     seed: GridFunction | None,
     source: np.ndarray | None,
     q: np.ndarray | None,
+    tau: float,
     first: int,
     n: int,
     collect: set[int] | None,
     n_base: int,
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+) -> tuple[np.ndarray, dict[int, np.ndarray], float]:
     """Levels first..n of q -> clip(s + K(2q - q^2)) on the working nodes.
 
-    s is `source` on the working nodes, or 0 when it is None.  Level first-1
-    is `q` on the working nodes with tail 0, or, when q is None, `seed`
-    through its own tail policy.  Collected levels are restricted to the
-    first n_base+1 nodes.
+    s is `source` on the working nodes, or 0 when it is None; s vanishes far
+    out.  Level first-1 is `q` on the working nodes with tail `tau`, or,
+    when q is None, `seed`, whose tail is `tau`.  Returns level n, the
+    collected levels restricted to the first n_base+1 nodes, and the tail
+    of level n.
     """
     collected: dict[int, np.ndarray] = {}
     for j in range(first, n + 1):
-        g = evaluate(seed, alpha * work_nodes) if q is None else _advanced(q, work_nodes, alpha)
+        if q is None:
+            g = evaluate(seed, _scaled(alpha, work_nodes))
+        else:
+            g = _advanced(q, work_nodes, alpha, tau)
         q = None  # drop the previous level before the scan
         gg = g * g  # 2g - g^2 in place, in the same operation order
         g *= 2.0
@@ -294,13 +309,14 @@ def _run_q_iteration(
         if source is not None:
             q += source
         np.clip(q, 0.0, 1.0, out=q)
+        tau = 2.0 * tau - tau * tau
         if collect and j in collect:
             collected[j] = q[: n_base + 1].copy()
-    return q, collected
+    return q, collected, tau
 
 
-def _advanced(q: np.ndarray, nodes: np.ndarray, alpha: float) -> np.ndarray:
-    """np.interp(alpha * nodes, nodes, q, right=0.0) bit for bit, in blocks.
+def _advanced(q: np.ndarray, nodes: np.ndarray, alpha: float, tau: float) -> np.ndarray:
+    """np.interp(alpha * nodes, nodes, q, right=tau) bit for bit, in blocks.
 
     Blocks shorter than `nodes` keep np.interp from allocating a full-size
     argument array and slope table, which lowers the chains' peak memory.
@@ -308,7 +324,7 @@ def _advanced(q: np.ndarray, nodes: np.ndarray, alpha: float) -> np.ndarray:
     g = np.empty_like(nodes)
     for start in range(0, len(nodes), _INTERP_BLOCK):
         block = slice(start, start + _INTERP_BLOCK)
-        g[block] = np.interp(alpha * nodes[block], nodes, q, right=0.0)
+        g[block] = np.interp(_scaled(alpha, nodes[block]), nodes, q, right=tau)
     return g
 
 
@@ -330,17 +346,20 @@ def _adaptive_levels(
     nodes: the Picard chain in q = 1 - U from q_0 = 0, whose level 1 is
     clip(s) and is not collected.  For each n of the increasing `levels`,
     the extents of `_extent_schedule` are tried in order until the final
-    iterate's tail value drops below eps_tail (or the last extent is
-    reached), certifying the flat tail extrapolation used beyond the
-    working grid.  Each extent keeps the last level it reached and a later
-    n continues from there: a level on an extent depends only on the seed,
-    the extent and the level, so resuming gives a fresh run's values bit
-    for bit.  Collected levels come from the steps run for that n; the
-    yielded values are a view that the next n overwrites.
+    iterate at the working grid's end is within eps_tail of its tail (or
+    the last extent is reached), certifying the flat tail extrapolation
+    used beyond the working grid.  The tail starts at the seed's
+    `tail_value`, or at 0 for Picard.  Each extent keeps the last level and
+    tail it reached and a later n continues from there: a level on an
+    extent depends only on the seed, the extent and the level, so resuming
+    gives a fresh run's values bit for bit.  Collected levels come from the
+    steps run for that n; the yielded values are a view that the next n
+    overwrites.
     """
     n_base = grid.node_count - 1
     step = grid.step
-    chains: dict[float, tuple[int, np.ndarray]] = {}  # extent -> (level, values)
+    chains: dict[float, tuple[int, np.ndarray, float]] = {}  # extent -> (level, values, tail)
+    tau0 = 0.0 if seed is None else seed.tail_value
     last_n = 0
     for n in levels:
         if n <= last_n:
@@ -350,21 +369,21 @@ def _adaptive_levels(
         for t_end in [t for t in chains if t not in extents]:
             del chains[t_end]
         for i, t_end in enumerate(extents):
-            j, kept = chains.get(t_end, (0, None))
+            j, kept, tau = chains.get(t_end, (0, None, tau0))
             work_nodes = _working_nodes(t_end, step, node_cap)
             s = 1.0 - _trapezoid_convolve(np.ones_like(work_nodes), step) if picard_source else None
             if picard_source and kept is None:  # q_1 = clip(s + K(0)) and K(0) = 0
                 j, kept = 1, np.clip(s, 0.0, 1.0)
-            q, collected = _run_q_iteration(
-                alpha, step, work_nodes, seed, s, kept, j + 1, n, collect, n_base
+            q, collected, tau = _run_q_iteration(
+                alpha, step, work_nodes, seed, s, kept, tau, j + 1, n, collect, n_base
             )
             if kept is None:
                 kept = q
             else:  # one buffer per extent, so the kept levels do not fragment the heap
                 kept[...] = q
             del q
-            chains[t_end] = (n, kept)
-            if i == len(extents) - 1 or float(kept[-1]) < eps_tail:
+            chains[t_end] = (n, kept, tau)
+            if i == len(extents) - 1 or abs(float(kept[-1]) - tau) < eps_tail:
                 break
         yield n, kept[: n_base + 1], collected
 
@@ -514,9 +533,10 @@ def riccati_residual(v: GridFunction, alpha: float) -> ResidualReport:
         raise ValueError("residual needs a grid with at least 3 nodes")
     nodes = grid.nodes
     deriv = np.gradient(v.values, grid.step, edge_order=2)
-    advanced = np.interp(alpha * nodes, nodes, v.values, right=v.tail_value)
+    scaled = _scaled(alpha, nodes)
+    advanced = np.interp(scaled, nodes, v.values, right=v.tail_value)
     residual = deriv + v.values - advanced**2
-    interior = alpha * nodes <= grid.t_end * (1.0 + 1e-12)
+    interior = scaled <= grid.t_end * (1.0 + 1e-12)
     count = int(np.count_nonzero(interior))
     if count == 0:
         raise ValueError("no interior nodes: alpha * step already exceeds the grid")

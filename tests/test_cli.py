@@ -1,11 +1,16 @@
 """End-to-end CLI behaviour: exit codes, file outputs, reproducibility, sweep."""
 
+import contextlib
 import csv
+import io
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati_cascade import (
     GridFunction,
@@ -29,6 +34,7 @@ from riccati_cascade.analysis_io import (
     write_series_csv,
 )
 from riccati_cascade.cascade_core import SamplerCapError
+from riccati_cascade.checks import CheckResult
 from riccati_cascade.cli import FIGURE_PRESETS, main
 
 
@@ -168,6 +174,13 @@ class TestUsage:
         assert run(tmp_path, "qn", "--alpha", "3", "--depth", "700", "--step", "0.1",
                    "--seed", "1") == 0
         assert "n=700" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["v0", "qn", "residual", "vcurve", "paths"])
+    def test_alpha_t_past_the_float_range_reads_the_tail(self, tmp_path, command):
+        # alpha * t overflows to inf, which lies beyond every grid and horizon
+        # cut; Tier-1 turns an overflow warning into an error
+        assert run(tmp_path, command, "--alpha", "1e308", "--samples", "20", "--depth", "4",
+                   "--t-max", "2", "--step", "0.1", "--seed", "1") == 0
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
@@ -355,3 +368,116 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "CHECK stream_determinism: PASS" in out
         assert "FAIL" not in out
+
+    def test_a_failing_check_exits_1_with_a_verified_report(self, tmp_path, monkeypatch, capsys):
+        def one_fails(*args, **kwargs):
+            return [CheckResult("stream_determinism", True, "ok"),
+                    CheckResult("forced", False, "stubbed failure")]
+
+        monkeypatch.setattr(cli, "run_all_checks", one_fails)
+        assert run(tmp_path, "check", "--seed", "21", "--fast") == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "1 of 2 checks failed"
+        assert "CHECK forced: FAIL (stubbed failure)" in captured.out
+        (out_dir,) = (tmp_path / "check").iterdir()
+        assert "CHECK forced: FAIL" in (out_dir / "check_report.txt").read_text()
+        assert load_manifest(out_dir / "manifest.json").outputs.keys() == {"check_report.txt"}
+        assert verify_manifest(out_dir / "manifest.json") == []
+
+
+class TestManifestCommand:
+    """`main` names every subcommand flag but --out and --workers in the
+    manifest's command string, which the config digest covers."""
+
+    COMMANDS = [
+        (["hist", "--t", "1.5"], "hist --t 1.5"),
+        (["hist"], "hist --t 2.0"),
+        (["vcurve"], "vcurve --t-step 0.5"),
+        (["v0", "--picard-k", "3"], "v0"),
+        (["qn", "--alpha", "2.5"], "qn"),
+        (["paths", "--t-step", "2"], "paths --t-step 2.0"),
+        (["residual"], "residual"),
+        (["check", "--fast"], "check --fast True"),
+        (["check"], "check --fast False"),
+        (["figures", "--preset", "fig3"], "figures --preset fig3"),
+        (["sweep", "--alpha-list", "0.66,1.5", "--max-n", "10"],
+         "sweep --alpha-list 0.66,1.5 --gap-tol 0.0001 --max-n 10 --t 4.0"),
+    ]
+
+    @pytest.mark.parametrize("argv, command", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
+    def test_command_string(self, argv, command):
+        args = cli._build_parser().parse_args([*argv, "--workers", "2", "--out", "elsewhere"])
+        assert cli._manifest_for(args, 1).command == command
+
+    def test_gap_tol_moves_the_sweep_directory(self, tmp_path):
+        argv = ("sweep", "--alpha-list", "0.66,1.5", "--step", "0.05", "--max-n", "10",
+                "--seed", "13")
+        assert run(tmp_path, *argv) == 0
+        assert run(tmp_path, *argv, "--gap-tol", "1e-9") == 0
+        dirs = sorted((tmp_path / "sweep").iterdir())
+        assert len(dirs) == 2
+        commands = {load_manifest(d / "manifest.json").command for d in dirs}
+        assert commands == {
+            "sweep --alpha-list 0.66,1.5 --gap-tol 0.0001 --max-n 10 --t 4.0",
+            "sweep --alpha-list 0.66,1.5 --gap-tol 1e-09 --max-n 10 --t 4.0",
+        }
+        for d in dirs:
+            assert verify_manifest(d / "manifest.json") == []
+
+
+# every subcommand but `check`, at small valid sizes
+_FUZZ_BASE = {
+    "hist": ["--t", "1.5"],
+    "vcurve": ["--t-step", "1"],
+    "v0": [],
+    "qn": [],
+    "paths": ["--t-step", "1"],
+    "residual": [],
+    "figures": ["--preset", "fig2"],
+    "sweep": ["--alpha-list", "0.66,2.5", "--max-n", "10"],
+}
+_FUZZ_COMMON = ["alpha", "t-max", "step", "depth", "picard-k", "samples", "eps-tail", "workers"]
+_FUZZ_EXTRA = {"hist": ["t"], "vcurve": ["t-step"], "paths": ["t-step"],
+               "sweep": ["alpha-list", "t", "max-n", "gap-tol"]}
+# None of these parses as a large integer, so --depth, --picard-k and --max-n
+# only ever see 0 and -1: chain cost grows with them and has no cap by design.
+_EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-320"]
+
+
+@st.composite
+def _fuzz_argv(draw, command):
+    """`command` at small valid sizes, with at most one flag set to an edge value."""
+    sizes = {
+        "alpha": draw(st.sampled_from(["0.66", "1.5", "3"])),
+        "t-max": draw(st.sampled_from(["1", "2", "4"])),
+        "step": draw(st.sampled_from(["0.05", "0.1", "0.25"])),
+        "depth": draw(st.integers(0, 8)),
+        "picard-k": draw(st.integers(0, 5)),
+        "samples": draw(st.integers(1, 50)),
+        "workers": draw(st.integers(1, 2)),
+    }
+    argv = [command, *_FUZZ_BASE[command], *(f"--{k}={v}" for k, v in sizes.items()), "--seed=5"]
+    flag = draw(st.sampled_from([None, *_FUZZ_COMMON, *_FUZZ_EXTRA.get(command, [])]))
+    if flag is not None:  # the last occurrence of a flag wins
+        argv.append(f"--{flag}={draw(st.sampled_from(_EDGE_VALUES))}")
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_BASE))
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_fuzz_exit_code_contract(command, data):
+    # no exception escapes main; 2 leaves no output and one error line; 0 a verified manifest
+    argv = data.draw(_fuzz_argv(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", tmp])
+        command_dir = Path(tmp) / command
+        assert code in (0, 2)
+        if code == 2:
+            assert not command_dir.exists()
+            assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+        else:
+            (manifest,) = command_dir.glob("*/manifest.json")
+            assert verify_manifest(manifest) == []

@@ -339,8 +339,9 @@ class TestIterateQn:
         for count in (2, 801, 16_384, 40_001):
             nodes = np.arange(count) * 0.00025
             q = rng.random(count)
-            expected = np.interp(alpha * nodes, nodes, q, right=0.0)
-            assert np.array_equal(_advanced(q, nodes, alpha), expected), count
+            for tau in (0.0, 0.37):
+                expected = np.interp(alpha * nodes, nodes, q, right=tau)
+                assert np.array_equal(_advanced(q, nodes, alpha, tau), expected), count
 
     def test_in_place_step_matches_reference_expression(self):
         # alpha <= 1 runs one working grid, so this pins the step arithmetic
@@ -384,9 +385,9 @@ def _spy_steps(monkeypatch):
     runs = []
     real = grid_numerics._run_q_iteration
 
-    def spy(alpha, step, work_nodes, seed, source, q, first, n, *rest):
+    def spy(alpha, step, work_nodes, seed, source, q, tau, first, n, *rest):
         runs.append((len(work_nodes), first, n))
-        return real(alpha, step, work_nodes, seed, source, q, first, n, *rest)
+        return real(alpha, step, work_nodes, seed, source, q, tau, first, n, *rest)
 
     monkeypatch.setattr(grid_numerics, "_run_q_iteration", spy)
     return runs
@@ -402,6 +403,30 @@ def test_every_chain_steps_through_the_one_loop(chain, first, monkeypatch):
     runs = _spy_steps(monkeypatch)
     chain()
     assert runs and runs[0][1] == first and runs[-1][2] == 4
+
+
+class TestCarriedTail:
+    """Beyond the working grid each level is extrapolated with the scalar
+    tail tau_j = 2 tau_{j-1} - tau_{j-1}^2, so a seed with a nonzero tail
+    certifies an extent short of the full expansion and still matches it."""
+
+    @pytest.mark.parametrize("alpha, n", [(1.5, 8), (2.5, 6)])
+    @pytest.mark.parametrize("q0", [1.0, 0.3])
+    def test_default_matches_full_expansion(self, q0, alpha, n, monkeypatch):
+        seed = GridFunction.constant(GRID, q0)
+        runs = _spy_steps(monkeypatch)
+        q = iterate_qn(alpha, GRID, n, seed)
+        certified = runs[-1][0]
+        full = iterate_qn(alpha, GRID, n, seed, expand_full=True)
+        assert np.max(np.abs(q.values - full.values)) < grid_numerics.DEFAULT_EPS_TAIL
+        assert certified < runs[-1][0]  # a shorter extent than the full expansion
+
+    def test_finiteness_chain_from_zero_matches_full_expansion(self):
+        v0 = GridFunction.constant(GRID, 0.0)
+        v = iterate_vn(3.0, GRID, 7, v0)
+        full = iterate_vn(3.0, GRID, 7, v0, expand_full=True)
+        for t in (0.5, 2.0, 4.0):  # 0.770, 0.176 and 0.0238
+            assert abs(v(t) - full(t)) < grid_numerics.DEFAULT_EPS_TAIL, t
 
 
 class TestIterateQnLevels:

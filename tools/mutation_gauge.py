@@ -1,0 +1,185 @@
+"""Mutation gauge: how many hand-written faults does the test suite catch?
+
+Each mutant is a (file, old text, new text, test ids) patch.  The gauge
+copies `src/`, `tests/` and `pyproject.toml` to a temporary directory, runs
+the union of the named tests once unmutated, then applies each mutant in
+turn and runs its tests with `pytest -x`.  A mutant is killed when its tests
+fail or cannot be collected, and survives when they pass.
+
+    python tools/mutation_gauge.py            # every mutant
+    python tools/mutation_gauge.py NAME ...   # only the named mutants
+
+Prints killed/total and the survivors.  Exits 1 if a mutant survives, if an
+old text does not occur exactly once in its file, or if the named tests fail
+without a mutant.  The gauge lives outside `tests/`, so pytest never
+collects it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+CLI = "src/riccati_cascade/cli.py"
+GRID = "src/riccati_cascade/grid_numerics.py"
+MC = "src/riccati_cascade/monte_carlo.py"
+CORE = "src/riccati_cascade/cascade_core.py"
+T_CLI = "tests/test_cli.py"
+T_GRID = "tests/test_grid_numerics.py"
+
+MUTANTS = [
+    # the CLI run envelope
+    Mutant("extras-drop-a-flag", CLI,
+           '_UNDIGESTED = {"out", "workers", "command"}',
+           '_UNDIGESTED = {"out", "workers", "command", "gap_tol"}',
+           (f"{T_CLI}::TestManifestCommand",)),
+    Mutant("check-status-ignored", CLI,
+           "        return status\n", "        return 0\n",
+           (f"{T_CLI}::TestCheckCommand",)),
+    Mutant("sidecar-not-in-manifest", CLI,
+           "return [path, _sidecar_path(path)]", "return [path]",
+           (f"{T_CLI}::TestFigures",)),
+    Mutant("eps-tail-1-accepted", CLI,
+           "if not 0.0 < args.eps_tail < 1.0:", "if not 0.0 < args.eps_tail <= 1.0:",
+           (f"{T_CLI}::TestUsage",)),
+    Mutant("t-points-accept-zero", CLI,
+           "if not 0.0 < count <= DEFAULT_NODE_CAP:", "if not count <= DEFAULT_NODE_CAP:",
+           (f"{T_CLI}::TestUsage",)),
+    # the carried tail of the one chain loop
+    Mutant("tail-not-advanced", GRID,
+           "        tau = 2.0 * tau - tau * tau\n", "",
+           (f"{T_GRID}::TestCarriedTail",)),
+    Mutant("certificate-on-q-alone", GRID,
+           "abs(float(kept[-1]) - tau) < eps_tail", "float(kept[-1]) < eps_tail",
+           (f"{T_GRID}::TestCarriedTail",)),
+    Mutant("zero-extrapolation", GRID,
+           "nodes[block]), nodes, q, right=tau)", "nodes[block]), nodes, q, right=0.0)",
+           (f"{T_GRID}::TestCarriedTail",)),
+    Mutant("grid-overflow-warns", GRID,
+           '    with np.errstate(over="ignore"):\n        return alpha * nodes\n',
+           "    return alpha * nodes\n",
+           (f"{T_CLI}::TestUsage::test_alpha_t_past_the_float_range_reads_the_tail",)),
+    Mutant("tail-walk-overflow-warns", CORE,
+           '@np.errstate(over="ignore")  # as in leaf_census; inf lies beyond the cut\n', "",
+           (f"{T_CLI}::TestUsage::test_alpha_t_past_the_float_range_reads_the_tail",)),
+    # the chain step and the scan
+    Mutant("left-endpoint-trapezoid", GRID,
+           "    b[1:] += phi[1:]\n", "    b[1:] *= 2.0\n",
+           ("tests/test_checks.py::test_check_passes[quadrature_order]",)),
+    Mutant("cube-for-square", GRID,
+           "gg = g * g  #", "gg = g * g * g  #",
+           (f"{T_GRID}::TestIterateQn",)),
+    Mutant("step-factor-1.999", GRID,
+           "        g *= 2.0\n", "        g *= 1.999\n",
+           (f"{T_GRID}::TestIdentity",)),
+    Mutant("one-level-short", GRID,
+           "    for j in range(first, n + 1):\n", "    for j in range(first, n):\n",
+           (f"{T_GRID}::TestPicard",)),
+    Mutant("source-added-twice", GRID,
+           "            q += source\n", "            q += 2.0 * source\n",
+           (f"{T_GRID}::TestPicard",)),
+    Mutant("picard-returns-q", GRID,
+           "picard_source=True,\n    ))\n    return GridFunction(grid, 1.0 - vals,",
+           "picard_source=True,\n    ))\n    return GridFunction(grid, vals,",
+           (f"{T_GRID}::TestPicard",)),
+    Mutant("vn-seeds-with-v0", GRID,
+           "v0.complement(), eps_tail", "v0, eps_tail",
+           (f"{T_GRID}::TestIterateVn",)),
+    Mutant("collect-range-unchecked", GRID,
+           "if not 1 <= j <= n)", "if False)",
+           (f"{T_GRID}::TestIterateQn",)),
+    Mutant("resume-skips-a-level", GRID,
+           "kept, tau, j + 1, n,", "kept, tau, j + 2, n,",
+           (f"{T_GRID}::TestIterateQnLevels",)),
+    Mutant("t-end-one-node-long", GRID,
+           "return _interval_count(self.t_max, self.step) * self.step",
+           "return (_interval_count(self.t_max, self.step) + 1) * self.step",
+           (f"{T_GRID}::TestUniformGrid",)),
+    # samplers and estimators
+    Mutant("stream-counter-collision", CORE,
+           "counter=[0, 0, idx, 0]", "counter=[0, 0, idx // 2, 0]",
+           ("tests/test_cascade_core.py::TestDeriveStream",)),
+    Mutant("tail-walk-one-level-short", CORE,
+           "    for d in range(depth + 1):\n        beyond",
+           "    for d in range(depth):\n        beyond",
+           ("tests/test_cascade_core.py::TestTailFlags",)),
+    Mutant("shared-trees", MC,
+           "head + (j * samples, lo, hi)", "head + (0, lo, hi)",
+           ("tests/test_monte_carlo.py::TestVCurve",)),
+    Mutant("stderr-times-1.5", MC,
+           "float(np.std(samples, ddof=1) / math.sqrt",
+           "float(1.5 * np.std(samples, ddof=1) / math.sqrt",
+           ("tests/test_monte_carlo.py::TestStderr",)),
+    Mutant("pool-not-bounded-by-cores", MC,
+           "min(workers, len(tasks), os.cpu_count() or 1)", "min(workers, len(tasks))",
+           ("tests/test_monte_carlo.py::TestReproducibility",)),
+]
+
+
+def _pytest(copy: Path, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return -1
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 1
+    stale = [m.name for m in chosen if (ROOT / m.file).read_text().count(m.old) != 1]
+    if stale:
+        print(f"old text no longer occurs exactly once: {stale}")
+        return 1
+    with tempfile.TemporaryDirectory(prefix="mutation-gauge-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        tests = sorted({t for m in chosen for t in m.tests})
+        if _pytest(copy, tests) != 0:
+            print("the named tests fail without a mutant; fix them first")
+            return 1
+        survivors = []
+        for m in chosen:
+            target = copy / m.file
+            original = target.read_text()
+            target.write_text(original.replace(m.old, m.new))
+            code = _pytest(copy, m.tests)
+            target.write_text(original)
+            # 1: a test failed; 2: collection failed; -1: timed out
+            outcome = "survived" if code == 0 else "killed" if code in (1, 2, -1) else f"error {code}"
+            print(f"{m.name}: {outcome}", flush=True)
+            if outcome != "killed":
+                survivors.append(m.name)
+    print(f"killed {len(chosen) - len(survivors)}/{len(chosen)}")
+    if survivors:
+        print("survivors: " + ", ".join(survivors))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
