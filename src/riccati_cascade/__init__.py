@@ -7,7 +7,7 @@ routes (Monte Carlo vs deterministic quadrature) with seeded, worker-count
 independent reproducibility.
 """
 
-__version__ = "0.5.1"
+__version__ = "0.6.0"
 
 from .cascade_core import (
     CascadeParams,
@@ -27,7 +27,6 @@ from .grid_numerics import (
     TailIntegral,
     UniformGrid,
     convolve_kernel,
-    evaluate,
     integrate_tail,
     iterate_qn,
     iterate_qn_levels,
@@ -64,7 +63,6 @@ __all__ = [
     "TailIntegral",
     "UniformGrid",
     "convolve_kernel",
-    "evaluate",
     "integrate_tail",
     "iterate_qn",
     "iterate_qn_levels",

@@ -159,41 +159,18 @@ class RunManifest:
 
     tool_version: str
     command: str
-    alpha: float
-    t_max: float
-    step: float
-    eps_tail: float
-    depth: int
-    picard_k: int
-    samples: int
-    seed: int
+    params: dict[str, object]
     timestamp: str
     outputs: dict[str, str]
 
     @classmethod
-    def create(
-        cls,
-        command: str,
-        alpha: float,
-        t_max: float,
-        step: float,
-        eps_tail: float,
-        depth: int,
-        picard_k: int,
-        samples: int,
-        seed: int,
-    ) -> "RunManifest":
+    def create(cls, command: str, params: dict[str, object]) -> "RunManifest":
+        """`params` maps each flag the subcommand took (by its argparse dest)
+        to its value, and `seed` to the resolved seed."""
         return cls(
             tool_version=__version__,
             command=command,
-            alpha=float(alpha),
-            t_max=float(t_max),
-            step=float(step),
-            eps_tail=float(eps_tail),
-            depth=int(depth),
-            picard_k=int(picard_k),
-            samples=int(samples),
-            seed=int(seed),
+            params=dict(params),
             timestamp=datetime.now(timezone.utc).isoformat(),
             outputs={},
         )

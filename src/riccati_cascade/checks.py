@@ -94,8 +94,7 @@ def _rows_with(bad: np.ndarray) -> int:
 
 
 def check_leaf_count_coupled_monotonicity(seed: int, samples: int) -> CheckResult:
-    leaves, _ = _census_rows(CascadeParams(1.5, seed), 2.0, 12, ClockSource.exponential(),
-                             0, samples)
+    leaves, _ = _census_rows(CascadeParams(1.5, seed), 2.0, 12, 0, samples)
     counts = np.cumsum(leaves, axis=1)  # the leaf count truncated at n = 0..12
     violations = _rows_with(counts[:, 1:] < counts[:, :-1])
     return CheckResult(
@@ -330,8 +329,7 @@ def check_tail_domination(
     cfg = McConfig(seed=seed, samples=samples)
     s_series, l_series = estimate_path_tails(alpha, ts, 12, cfg)
     dominated = bool(np.all(l_series.means() >= s_series.means()))
-    leaves, alive = _census_rows(CascadeParams(alpha, seed), 2.0, 12, ClockSource.exponential(),
-                                 0, min(samples, 300))
+    leaves, alive = _census_rows(CascadeParams(alpha, seed), 2.0, 12, 0, min(samples, 300))
     s_flags = alive == 0  # no vertex alive at depth d = 0..12
     l_flags = np.cumsum(leaves, axis=1) > 0  # some leaf at depth <= d
     mono_bad = (_rows_with(s_flags[:, :-1] & ~s_flags[:, 1:])
@@ -371,7 +369,7 @@ def check_serialization_roundtrip(alpha: float, seed: int) -> CheckResult:
         h_path = write_histogram_csv(hist, tmp_path / "hist.csv")
         series_back = read_series_csv(s_path)
         hist_back = read_histogram_csv(h_path, t=hist.t, depth=hist.depth)
-        manifest = RunManifest.create("check", alpha, 4.0, 0.05, 1e-6, 5, 3, 50, seed)
+        manifest = RunManifest.create("check", {"alpha": alpha, "seed": seed})
         manifest = manifest.with_outputs([s_path, h_path])
         m_path = write_manifest(manifest, tmp_path / "manifest.json")
         problems = verify_manifest(m_path)

@@ -1,16 +1,17 @@
 """Command-line interface: every estimator, solver, and check as a subcommand.
 
-Each run resolves its configuration (flag > RICCATI_* environment variable >
-default), derives a deterministic output directory `<out>/<cmd>/<digest>/`
-from the configuration digest, writes its data files plus a manifest, and
-prints the seed so any run can be reproduced exactly.  `main` does all of
-that once; a handler only computes and writes its data files.
+Each subcommand takes only the flags its handler reads, plus --seed and
+--out; any other flag is a usage error.  Each run resolves its
+configuration (flag > RICCATI_* environment variable > default), derives a
+deterministic output directory `<out>/<cmd>/<digest>/` from the
+configuration digest, writes its data files plus a manifest, and prints
+the seed so any run can be reproduced exactly.  `main` does all of that
+once; a handler only computes and writes its data files.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import secrets
@@ -35,7 +36,6 @@ from .grid_numerics import (
     GridFunction,
     GridMemoryError,
     UniformGrid,
-    evaluate,
     iterate_qn,
     iterate_qn_levels,
     iterate_vn,
@@ -65,33 +65,26 @@ def _env_default(name: str, cast, fallback):
         raise ValueError(f"invalid value {raw!r} for {_ENV_PREFIX}{name}") from None
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--alpha", type=float, default=_env_default("ALPHA", float, 1.5),
-                   help="branching scale (default 1.5)")
-    p.add_argument("--t-max", type=float, default=_env_default("T_MAX", float, 8.0),
-                   help="end of the time grid (default 8)")
-    p.add_argument("--step", type=float, default=_env_default("STEP", float, 0.01),
-                   help="grid step (default 0.01)")
-    p.add_argument("--depth", type=int, default=_env_default("DEPTH", int, 10),
-                   help="recursion depth / truncation level n (default 10)")
-    p.add_argument("--picard-k", type=int, default=_env_default("PICARD_K", int, 5),
-                   help="Picard iterations for the seed curve (default 5)")
-    p.add_argument("--samples", type=int, default=_env_default("SAMPLES", int, 10000),
-                   help="Monte Carlo samples per point (default 10000)")
-    p.add_argument("--seed", type=int, default=_env_default("SEED", int, None),
-                   help="64-bit seed; generated and printed when omitted")
-    p.add_argument("--eps-tail", type=float, default=_env_default("EPS_TAIL", float, 1e-6),
-                   help="tail threshold for working-grid expansion (default 1e-6)")
-    p.add_argument("--out", type=Path, default=_env_default("OUT", Path, Path("runs")),
-                   help="output root directory (default ./runs)")
-    p.add_argument("--workers", type=int, default=_env_default("WORKERS", int, 1),
-                   help="worker-count hint; never changes results (default 1)")
-    return p
+# every flag that more than one subcommand takes: (type, default, help); each
+# can also be set through RICCATI_<NAME>, e.g. RICCATI_T_MAX for --t-max
+_FLAGS = {
+    "alpha": (float, 1.5, "branching scale (default %(default)s)"),
+    "t-max": (float, 8.0, "end of the time grid (default %(default)s)"),
+    "step": (float, 0.01, "grid step (default %(default)s)"),
+    "depth": (int, 10, "recursion depth / truncation level n (default %(default)s)"),
+    "picard-k": (int, 5, "Picard iterations for the seed curve (default %(default)s)"),
+    "samples": (int, 10000, "Monte Carlo samples per point (default %(default)s)"),
+    "eps-tail": (float, 1e-6, "tail threshold for working-grid expansion (default %(default)s)"),
+    "workers": (int, 1, "worker-count hint; never changes results (default %(default)s)"),
+    "seed": (int, None, "64-bit seed; generated and printed when omitted"),
+    "out": (Path, Path("runs"), "output root directory (default ./runs)"),
+}
+# the grid and its Picard seed; the Monte Carlo sizes
+_CHAIN = ("t-max", "step", "picard-k", "eps-tail")
+_MC = ("depth", "samples", "workers")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="riccati-cascade",
         description="Simulation and numerical analysis of the alpha-Riccati branching cascade",
@@ -99,31 +92,41 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hist", parents=[common], help="truncated leaf-count histogram")
+    def command(name: str, summary: str, *flags: str) -> argparse.ArgumentParser:
+        """A subcommand that takes `flags`, --seed and --out, and no abbreviation."""
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in (*flags, "seed", "out"):
+            cast, default, help_text = _FLAGS[flag]
+            env = flag.upper().replace("-", "_")
+            p.add_argument(f"--{flag}", type=cast, default=_env_default(env, cast, default),
+                           help=help_text)
+        return p
+
+    p = command("hist", "truncated leaf-count histogram", "alpha", *_MC)
     p.add_argument("--t", type=float, default=2.0, help="horizon (default 2)")
 
-    p = sub.add_parser("vcurve", parents=[common], help="Monte Carlo finiteness-probability curve")
+    p = command("vcurve", "Monte Carlo finiteness-probability curve", "alpha", *_CHAIN, *_MC)
     p.add_argument("--t-step", type=float, default=0.5, help="spacing of Monte Carlo points")
 
-    sub.add_parser("v0", parents=[common], help="Picard seed curve U_k")
+    command("v0", "Picard seed curve U_k", "alpha", *_CHAIN)
 
-    sub.add_parser("qn", parents=[common], help="deterministic explosion-probability iterate q_n")
+    command("qn", "deterministic explosion-probability iterate q_n", "alpha", "depth", *_CHAIN)
 
-    p = sub.add_parser("paths", parents=[common], help="min/max path-sum tail series")
+    p = command("paths", "min/max path-sum tail series", "alpha", "t-max", *_MC)
     p.add_argument("--t-step", type=float, default=1.0, help="spacing of tail points")
 
-    sub.add_parser("residual", parents=[common],
-                   help="residual of v' + v = v(alpha t)^2 for the iterated curve")
+    command("residual", "residual of v' + v = v(alpha t)^2 for the iterated curve",
+            "alpha", "depth", *_CHAIN)
 
-    p = sub.add_parser("check", parents=[common], help="run the full invariant suite")
+    p = command("check", "run the full invariant suite", "alpha", "samples")
+    p.set_defaults(samples=_env_default("SAMPLES", int, 2000))
     p.add_argument("--fast", action="store_true", help="trim statistical sample sizes")
 
-    p = sub.add_parser("figures", parents=[common], help="figure-ready data bundle")
+    p = command("figures", "figure-ready data bundle", *_CHAIN, *_MC)
     p.add_argument("--preset", required=True, choices=sorted(FIGURE_PRESETS),
-                   help="sets alpha, overriding --alpha: fig1 (0.66), fig2 (1.5), fig3 (3)")
+                   help="sets alpha: fig1 (0.66), fig2 (1.5), fig3 (3)")
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="stabilized explosion probability across branching scales")
+    p = command("sweep", "stabilized explosion probability across branching scales", *_CHAIN)
     p.add_argument("--alpha-list", required=True,
                    help="comma-separated branching scales, e.g. 0.66,1.5,3")
     p.add_argument("--t", type=float, default=4.0, help="report point (default 4)")
@@ -135,18 +138,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # parsed dests that never enter the configuration digest
 _UNDIGESTED = {"out", "workers", "command"}
-_MANIFEST_FIELDS = {f.name for f in dataclasses.fields(RunManifest)}
 
 
 def _manifest_for(args, seed: int) -> RunManifest:
-    """The run's manifest: every dest that is not a manifest field (nor
-    --out or --workers) is named in the command string as `--<flag> <value>`."""
-    config = {k: v for k, v in vars(args).items() if k not in _UNDIGESTED}
-    config["seed"] = seed
-    fields = {k: config.pop(k) for k in _MANIFEST_FIELDS & config.keys()}
-    extras = sorted((k.replace("_", "-"), v) for k, v in config.items())
-    command = " ".join([args.command, *(f"--{k} {v}" for k, v in extras)])
-    return RunManifest.create(command=command, **fields)
+    """The run's manifest: every flag the subcommand took but --out and
+    --workers, with the resolved seed."""
+    params = {k: v for k, v in vars(args).items() if k not in _UNDIGESTED}
+    return RunManifest.create(args.command, {**params, "seed": seed})
 
 
 def _t_points(t_max: float, t_step: float) -> np.ndarray:
@@ -233,7 +231,7 @@ def _cmd_qn(args, seed: int, out: Path) -> tuple[list[Path], int]:
     qn = iterate_qn(args.alpha, grid, args.depth, q0, args.eps_tail)
     files = _write_grid(qn, out / "qn.csv")
     probe_ts = [v for v in (2.0, 4.0, args.t_max) if v <= grid.t_end]
-    vals = ", ".join(f"q({t:g})={evaluate(qn, t):.5f}" for t in probe_ts)
+    vals = ", ".join(f"q({t:g})={qn(t):.5f}" for t in probe_ts)
     print(f"explosion iterate at alpha={args.alpha}, n={args.depth}: {vals}")
     return files, 0
 
@@ -271,7 +269,9 @@ def _cmd_residual(args, seed: int, out: Path) -> tuple[list[Path], int]:
 
 def _cmd_check(args, seed: int, out: Path) -> tuple[list[Path], int]:
     """The one handler that can return 1: when any check fails."""
-    results = run_all_checks(args.alpha, seed, samples=min(args.samples, 2000), fast=args.fast)
+    if args.samples < 1:  # --fast would raise it to 200 and hide the bad value
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    results = run_all_checks(args.alpha, seed, samples=args.samples, fast=args.fast)
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -291,18 +291,19 @@ def _cmd_check(args, seed: int, out: Path) -> tuple[list[Path], int]:
 
 def _cmd_figures(args, seed: int, out: Path) -> tuple[list[Path], int]:
     """The `hist` output at t = 2 and the `vcurve` outputs at t-step 0.5, at
-    the preset's alpha (set by `main`)."""
+    the preset's alpha."""
+    alpha = FIGURE_PRESETS[args.preset]
     grid = _base_grid(args)
     cfg = McConfig(seed=seed, samples=args.samples, workers=args.workers)
-    hist = estimate_leaf_histogram(args.alpha, 2.0, args.depth, cfg)
-    v0 = picard_v0(args.alpha, grid, args.picard_k, args.eps_tail)
-    curve = estimate_v_curve(args.alpha, _t_points(args.t_max, 0.5), args.depth, v0, cfg)
+    hist = estimate_leaf_histogram(alpha, 2.0, args.depth, cfg)
+    v0 = picard_v0(alpha, grid, args.picard_k, args.eps_tail)
+    curve = estimate_v_curve(alpha, _t_points(args.t_max, 0.5), args.depth, v0, cfg)
     files = [
         write_histogram_csv(hist, out / "histogram.csv"),
         write_series_csv(curve, out / "vcurve_mc.csv"),
         *_write_grid(v0, out / "v0_picard.csv"),
     ]
-    print(f"figures {args.preset} at alpha={args.alpha}: leaf-count mean {hist.mean():.3f}, "
+    print(f"figures {args.preset} at alpha={alpha}: leaf-count mean {hist.mean():.3f}, "
           f"{len(curve.points)} v-curve points")
     return files, 0
 
@@ -340,7 +341,7 @@ def _cmd_sweep(args, seed: int, out: Path) -> tuple[list[Path], int]:
         converged = sup_gap < args.gap_tol
         boundary = abs(alpha - 1.0) <= 0.05 or abs(alpha - 2.0) <= 0.05
         note = "slow-convergence" if (boundary or not converged) else ""
-        q_at_t = evaluate(q_cur, args.t)
+        q_at_t = q_cur(args.t)
         rows.append((alpha, args.t, q_at_t, sup_gap, n_used, converged, note))
         print(
             f"alpha={alpha:g}: q({args.t:g}) = {q_at_t:.6g} "
@@ -377,10 +378,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if not 0.0 < args.eps_tail < 1.0:  # a tail of 1 or more certifies every extent
+        # a tail of 1 or more certifies every extent
+        if hasattr(args, "eps_tail") and not 0.0 < args.eps_tail < 1.0:
             raise ValueError(f"--eps-tail must be in (0, 1), got {args.eps_tail}")
-        if args.command == "figures":
-            args.alpha = FIGURE_PRESETS[args.preset]
         seed = args.seed
         if seed is None:
             seed = secrets.randbits(63)

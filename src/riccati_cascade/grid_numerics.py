@@ -51,7 +51,6 @@ __all__ = [
     "ResidualReport",
     "TailIntegral",
     "GridMemoryError",
-    "evaluate",
     "convolve_kernel",
     "picard_v0",
     "iterate_vn",
@@ -144,7 +143,17 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
     def __call__(self, t):
-        return evaluate(self, t)
+        """Linear interpolation on the grid; `tail_value` beyond the last node.
+
+        Accepts a scalar or an array; negative arguments are rejected.
+        """
+        arr = np.asarray(t, dtype=float)
+        if arr.size and float(np.min(arr)) < 0.0:
+            raise ValueError("evaluation points must be >= 0")
+        out = np.interp(arr, self.grid.nodes, self.values, right=self.tail_value)
+        if np.ndim(t) == 0:
+            return float(out)
+        return out
 
     @classmethod
     def constant(cls, grid: UniformGrid, value: float, range_bounds: bool = True) -> "GridFunction":
@@ -153,20 +162,6 @@ class GridFunction:
     def complement(self) -> "GridFunction":
         """1 - f, with the complementary tail."""
         return GridFunction(self.grid, 1.0 - self.values, 1.0 - self.tail_value, self.range_bounds)
-
-
-def evaluate(f: GridFunction, t):
-    """Linear interpolation on the grid; `tail_value` beyond the last node.
-
-    Accepts a scalar or an array; negative arguments are rejected.
-    """
-    arr = np.asarray(t, dtype=float)
-    if arr.size and float(np.min(arr)) < 0.0:
-        raise ValueError("evaluation points must be >= 0")
-    out = np.interp(arr, f.grid.nodes, f.values, right=f.tail_value)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
 
 
 @lru_cache(maxsize=16)
@@ -296,7 +291,7 @@ def _run_q_iteration(
     collected: dict[int, np.ndarray] = {}
     for j in range(first, n + 1):
         if q is None:
-            g = evaluate(seed, _scaled(alpha, work_nodes))
+            g = seed(_scaled(alpha, work_nodes))
         else:
             g = _advanced(q, work_nodes, alpha, tau)
         q = None  # drop the previous level before the scan

@@ -30,7 +30,7 @@ from .cascade_core import (
     sample_product_indicator,
     sample_tail_flags,
 )
-from .grid_numerics import GridFunction, evaluate
+from .grid_numerics import GridFunction
 
 __all__ = [
     "McConfig",
@@ -49,6 +49,8 @@ _BATCH_VERTICES = 1 << 15
 _TAIL_BATCH = 32  # trees per sub-batch of the tail-flag walk, whose frontiers stay small
 # generators that finished sub-batches hand on for re-keying (see _sub_batches)
 _SPARE_GENERATORS: list[np.random.Generator] = []
+# the estimators' clocks; ClockSource.constant is the samplers' test hook only
+_CLOCKS = ClockSource.exponential()
 
 
 @dataclass(frozen=True)
@@ -206,11 +208,11 @@ def _sub_batches(params: CascadeParams, first: int, stop: int, size: int):
 
 
 def _vcurve_chunk(task) -> np.ndarray:
-    alpha, seed, t, n, v0, clocks, base_index, lo, hi = task
+    alpha, seed, t, n, v0, base_index, lo, hi = task
     params = CascadeParams(alpha, seed)
     # v0 is a GridFunction: callable, with the tail policy built in
     return np.concatenate([
-        sample_product_indicator(params, t, n, v0, clocks, streams)
+        sample_product_indicator(params, t, n, v0, _CLOCKS, streams)
         for streams in _sub_batches(params, base_index + lo, base_index + hi, _batch_size(n))
     ])
 
@@ -235,7 +237,6 @@ def estimate_v_curve(
     n: int,
     v0: GridFunction,
     cfg: McConfig,
-    clocks: ClockSource | None = None,
 ) -> EstimateSeries:
     """Monte Carlo means of the depth-n product recursion seeded by v0.
 
@@ -243,10 +244,9 @@ def estimate_v_curve(
     points are independent and z-tests against a deterministic reference
     are valid per point.
     """
-    clocks = clocks or ClockSource.exponential()
     _check_depth(n)
     t_list = _check_t_points(t_points)
-    heads = [(alpha, cfg.seed, t, n, v0, clocks) for t in t_list]
+    heads = [(alpha, cfg.seed, t, n, v0) for t in t_list]
     per_point = _map_points(_vcurve_chunk, heads, cfg.samples, cfg.workers)
     points = []
     for t, results in zip(t_list, per_point):
@@ -256,19 +256,19 @@ def estimate_v_curve(
 
 
 def _census_rows(
-    params: CascadeParams, t: float, depth: int, clocks: ClockSource, first: int, stop: int
+    params: CascadeParams, t: float, depth: int, first: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Leaves and alive vertices per depth of the trees on substreams
     first..stop-1, in sub-batches: row i is the census of tree first + i."""
-    batches = [leaf_census(params, t, depth, clocks, streams)
+    batches = [leaf_census(params, t, depth, _CLOCKS, streams)
                for streams in _sub_batches(params, first, stop, _batch_size(depth))]
     leaves, alive = zip(*batches)
     return np.concatenate(leaves), np.concatenate(alive)
 
 
 def _hist_chunk(task) -> tuple[np.ndarray, int]:
-    alpha, seed, t, depth, clocks, base_index, lo, hi = task
-    leaves, alive = _census_rows(CascadeParams(alpha, seed), t, depth, clocks,
+    alpha, seed, t, depth, base_index, lo, hi = task
+    leaves, alive = _census_rows(CascadeParams(alpha, seed), t, depth,
                                  base_index + lo, base_index + hi)
     return leaves.sum(axis=1), int(np.count_nonzero(alive[:, depth]))
 
@@ -278,12 +278,10 @@ def estimate_leaf_histogram(
     t: float,
     depth: int,
     cfg: McConfig,
-    clocks: ClockSource | None = None,
 ) -> Histogram:
     """Histogram of truncated leaf counts over cfg.samples independent trees."""
-    clocks = clocks or ClockSource.exponential()
     _check_depth(depth)
-    [results] = _map_points(_hist_chunk, [(alpha, cfg.seed, float(t), depth, clocks)],
+    [results] = _map_points(_hist_chunk, [(alpha, cfg.seed, float(t), depth)],
                             cfg.samples, cfg.workers)
     values = np.concatenate([r[0] for r in results])
     truncated = int(sum(r[1] for r in results))
@@ -300,10 +298,10 @@ def estimate_leaf_histogram(
 
 
 def _tail_chunk(task) -> tuple[np.ndarray, np.ndarray]:
-    alpha, seed, t, depth, clocks, base_index, lo, hi = task
+    alpha, seed, t, depth, base_index, lo, hi = task
     params = CascadeParams(alpha, seed)
     s_flags, l_flags = zip(*[
-        sample_tail_flags(params, t, depth, clocks, streams)
+        sample_tail_flags(params, t, depth, _CLOCKS, streams)
         for streams in _sub_batches(params, base_index + lo, base_index + hi, _TAIL_BATCH)
     ])
     return np.concatenate(s_flags).astype(float), np.concatenate(l_flags).astype(float)
@@ -314,7 +312,6 @@ def estimate_path_tails(
     t_points,
     depth: int,
     cfg: McConfig,
-    clocks: ClockSource | None = None,
 ) -> tuple[EstimateSeries, EstimateSeries]:
     """Empirical P(min path sum at `depth` > t) and P(max path sum at `depth` > t).
 
@@ -329,10 +326,9 @@ def estimate_path_tails(
     """
     if alpha <= 0.0:
         raise ValueError("path tails require alpha > 0")
-    clocks = clocks or ClockSource.exponential()
     _check_depth(depth)
     t_list = _check_t_points(t_points)
-    heads = [(alpha, cfg.seed, t, depth, clocks) for t in t_list]
+    heads = [(alpha, cfg.seed, t, depth) for t in t_list]
     per_point = _map_points(_tail_chunk, heads, cfg.samples, cfg.workers)
     s_points, l_points = [], []
     for t, results in zip(t_list, per_point):
@@ -371,7 +367,7 @@ def compare_series(
     ts, zs, tails = [], [], []
     t_end = reference.grid.t_end
     for p in mc.points:
-        ref = evaluate(reference, p.t)
+        ref = reference(p.t)
         tails.append(p.t > t_end)
         if p.stderr == 0.0:
             z = 0.0 if p.mean == ref else math.inf

@@ -19,7 +19,6 @@ from riccati_cascade import (
     estimate_leaf_histogram,
     estimate_path_tails,
     estimate_v_curve,
-    evaluate,
     integrate_tail,
     iterate_qn,
     iterate_vn,
@@ -134,8 +133,8 @@ def test_criterion_05_regime_classification():
         else:
             q0 = picard_v0(alpha, GRID, 5).complement()
         _, levels = iterate_qn(alpha, GRID, 20, q0, collect={15, 20})
-        q20 = evaluate(levels[20], 2.0)
-        gap = abs(q20 - evaluate(levels[15], 2.0))
+        q20 = levels[20](2.0)
+        gap = abs(q20 - levels[15](2.0))
         results[alpha] = (q20, gap)
     elapsed = time.perf_counter() - start
     q15_, g15 = results[1.5]

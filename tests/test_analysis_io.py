@@ -97,7 +97,8 @@ class TestGridFunctionCsv:
 
 class TestManifest:
     def make(self, seed=42):
-        return RunManifest.create("hist --t 2.0", 1.5, 8.0, 0.01, 1e-6, 10, 5, 100, seed)
+        return RunManifest.create(
+            "hist", {"alpha": 1.5, "depth": 10, "samples": 100, "t": 2.0, "seed": seed})
 
     def test_identical_config_identical_except_timestamp(self):
         a, b = self.make(), self.make()
@@ -105,6 +106,11 @@ class TestManifest:
         da.pop("timestamp"), db.pop("timestamp")
         assert da == db
         assert a.config_digest() == b.config_digest()
+
+    def test_schema(self, tmp_path):
+        data = json.loads(write_manifest(self.make(), tmp_path / "m.json").read_text())
+        assert set(data) == {"tool_version", "command", "params", "timestamp", "outputs"}
+        assert data["params"] == {"alpha": 1.5, "depth": 10, "samples": 100, "t": 2.0, "seed": 42}
 
     def test_digest_sensitive_to_config(self):
         assert self.make(42).config_digest() != self.make(43).config_digest()

@@ -27,7 +27,6 @@ PUBLIC_NAMES = {
     "TailIntegral",
     "UniformGrid",
     "convolve_kernel",
-    "evaluate",
     "integrate_tail",
     "iterate_qn",
     "iterate_qn_levels",
@@ -48,7 +47,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 30
     assert sorted(riccati_cascade.__all__) == sorted(PUBLIC_NAMES | {"__version__"})
     assert len(riccati_cascade.__all__) == len(set(riccati_cascade.__all__))
 

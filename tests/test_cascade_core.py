@@ -479,7 +479,7 @@ class TestTailFlags:
         # survival flag and census alive-at-depth estimate the same probability
         p = params(1.5, seed=53)
         n = 4000
-        _, alive = _census_rows(p, 2.0, 6, EXP, 0, n)
+        _, alive = _census_rows(p, 2.0, 6, 0, n)
         s_flags, _ = sample_tail_flags(p, 2.0, 6, EXP, _streams(p, n, n))
         se = math.sqrt(2.0 * 0.25 / n)
         assert abs(np.mean(alive[:, 6] > 0) - np.mean(~s_flags)) < 5.0 * se
@@ -549,7 +549,7 @@ class TestTailFlags:
                  for t in (0.0, 0.5, 2.0, 8.0)[alpha > 1.0:]]
         for k, (t, depth) in enumerate(cases):
             s_flags, l_flags = sample_tail_flags(p, t, depth, EXP, _streams(p, 200 * k, 200))
-            leaves, alive = _census_rows(p, t, depth, EXP, 200 * k, 200 * (k + 1))
+            leaves, alive = _census_rows(p, t, depth, 200 * k, 200 * (k + 1))
             assert np.array_equal(s_flags, alive[:, depth] == 0), (t, depth)
             assert np.array_equal(l_flags, leaves.sum(axis=1) > 0), (t, depth)
 

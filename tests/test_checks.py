@@ -12,7 +12,7 @@ import math
 import pytest
 
 from riccati_cascade import checks, monte_carlo
-from riccati_cascade.grid_numerics import evaluate, iterate_vn
+from riccati_cascade.grid_numerics import iterate_vn
 from riccati_cascade.monte_carlo import EstimatePoint, EstimateSeries
 
 # the order of `check` output: perfbench's check_fast gate expects exactly these
@@ -141,7 +141,7 @@ def test_product_check_scores_a_stderr_zero_point_by_exact_match(monkeypatch, of
     # a point with stderr 0 passes only when it equals the iterate exactly
     def exact_series(alpha, t_points, n, v0, cfg):
         vn = iterate_vn(alpha, v0.grid, n, v0)
-        return EstimateSeries(tuple(EstimatePoint(t, evaluate(vn, t) + offset, 0.0, cfg.samples)
+        return EstimateSeries(tuple(EstimatePoint(t, vn(t) + offset, 0.0, cfg.samples)
                                     for t in t_points))
 
     monkeypatch.setattr(checks, "estimate_v_curve", exact_series)

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, file outputs, reproducibility, sweep."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -19,7 +20,6 @@ from riccati_cascade import (
     cli,
     estimate_leaf_histogram,
     estimate_v_curve,
-    evaluate,
     iterate_qn,
     picard_v0,
 )
@@ -40,6 +40,29 @@ from riccati_cascade.cli import FIGURE_PRESETS, main
 
 def run(tmp_path, *args):
     return main([*args, "--out", str(tmp_path)])
+
+
+def _subcommand_flags() -> dict[str, set[str]]:
+    """Each subcommand's flags, as argparse dests, read off the parser."""
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+            for name, p in sub.choices.items()}
+
+
+# every subcommand's flags but --seed and --out, which every subcommand takes
+SUBCOMMAND_FLAGS = {
+    "hist": {"alpha", "depth", "samples", "workers", "t"},
+    "vcurve": {"alpha", "t_max", "step", "depth", "picard_k", "samples", "eps_tail", "workers",
+               "t_step"},
+    "v0": {"alpha", "t_max", "step", "picard_k", "eps_tail"},
+    "qn": {"alpha", "t_max", "step", "depth", "picard_k", "eps_tail"},
+    "residual": {"alpha", "t_max", "step", "depth", "picard_k", "eps_tail"},
+    "paths": {"alpha", "t_max", "depth", "samples", "workers", "t_step"},
+    "check": {"alpha", "samples", "fast"},
+    "figures": {"preset", "t_max", "step", "depth", "picard_k", "samples", "eps_tail", "workers"},
+    "sweep": {"alpha_list", "t", "max_n", "gap_tol", "t_max", "step", "picard_k", "eps_tail"},
+}
 
 
 def _reference_sweep_csv(alphas, t, step, max_n, gap_tol=1e-4, picard_k=5, eps_tail=1e-6):
@@ -66,7 +89,7 @@ def _reference_sweep_csv(alphas, t, step, max_n, gap_tol=1e-4, picard_k=5, eps_t
         converged = sup_gap < gap_tol
         boundary = abs(alpha - 1.0) <= 0.05 or abs(alpha - 2.0) <= 0.05
         note = "slow-convergence" if (boundary or not converged) else ""
-        q_at_t = evaluate(q_cur, t)
+        q_at_t = q_cur(t)
         rows.append((alpha, t, q_at_t, sup_gap, n_used, converged, note))
     lines = ["alpha,t,q_estimate,sup_gap,n_iterations,converged,note"]
     lines += [",".join(str(v) for v in row) for row in rows]
@@ -77,7 +100,6 @@ def _reference_figure_bundle(
     preset: str,
     out_dir,
     seed: int,
-    alpha: float | None = None,
     t: float = 2.0,
     t_max: float = 8.0,
     step: float = 0.01,
@@ -91,7 +113,7 @@ def _reference_figure_bundle(
     """The figure bundle that the I/O layer used to write for `figures`, verbatim."""
     if preset not in FIGURE_PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(FIGURE_PRESETS)}")
-    alpha = FIGURE_PRESETS[preset] if alpha is None else float(alpha)
+    alpha = FIGURE_PRESETS[preset]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = UniformGrid(t_max, step)
@@ -107,17 +129,16 @@ def _reference_figure_bundle(
         "vcurve": write_series_csv(curve, out_dir / "vcurve_mc.csv"),
         "v0": write_grid_function(v0, out_dir / "v0_picard.csv"),
     }
-    manifest = RunManifest.create(
-        command=f"figures --preset {preset}",
-        alpha=alpha,
-        t_max=t_max,
-        step=step,
-        eps_tail=eps_tail,
-        depth=depth,
-        picard_k=picard_k,
-        samples=samples,
-        seed=seed,
-    )
+    manifest = RunManifest.create("figures", {
+        "preset": preset,
+        "t_max": t_max,
+        "step": step,
+        "eps_tail": eps_tail,
+        "depth": depth,
+        "picard_k": picard_k,
+        "samples": samples,
+        "seed": seed,
+    })
     tracked = [paths["histogram"], paths["vcurve"], paths["v0"],
                paths["v0"].with_name(paths["v0"].name + ".meta.json")]
     manifest = manifest.with_outputs(tracked)
@@ -145,6 +166,8 @@ class TestUsage:
         ("sweep", "--alpha-list", "1.5", "--t", "nan"),
         ("sweep", "--alpha-list=-1,1.5"),
         ("hist", "--samples", "0"),
+        ("check", "--samples", "0"),
+        ("check", "--fast", "--samples", "-5"),
         ("qn", "--depth", "-1"),
         ("hist", "--depth", "-1"),
         # sizes past DEFAULT_NODE_CAP are rejected before anything is allocated
@@ -153,6 +176,11 @@ class TestUsage:
         ("v0", "--step", "1e-320"),
         ("vcurve", "--t-step", "1e-9"),
         ("paths", "--t-max", "-5"),
+        # the worker hint is read only where a McConfig is built, and checked there
+        ("hist", "--workers", "0"),
+        ("vcurve", "--workers", "0"),
+        ("paths", "--workers", "0"),
+        ("figures", "--preset", "fig2", "--workers", "0"),
     ], ids=" ".join)
     def test_bad_value_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv, "--seed", "1") == 2
@@ -179,12 +207,72 @@ class TestUsage:
     def test_alpha_t_past_the_float_range_reads_the_tail(self, tmp_path, command):
         # alpha * t overflows to inf, which lies beyond every grid and horizon
         # cut; Tier-1 turns an overflow warning into an error
-        assert run(tmp_path, command, "--alpha", "1e308", "--samples", "20", "--depth", "4",
-                   "--t-max", "2", "--step", "0.1", "--seed", "1") == 0
+        sizes = {"alpha": "1e308", "samples": "20", "depth": "4", "t_max": "2", "step": "0.1"}
+        argv = [x for k, v in sizes.items() if k in SUBCOMMAND_FLAGS[command]
+                for x in (f"--{k.replace('_', '-')}", v)]
+        assert run(tmp_path, command, *argv, "--seed", "1") == 0
+
+    def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(self, tmp_path, capsys):
+        for argv in [
+            ("figures", "--preset", "fig2", "--alpha", "3"),  # the preset sets alpha
+            ("sweep", "--alpha-list", "1.5", "--alpha", "3"),  # not an abbreviation of --alpha-list
+            ("qn", "--workers", "0"),
+            ("check", "--depth", "40"),
+        ]:
+            assert run(tmp_path, *argv, "--seed", "1") == 2, argv
+            err = capsys.readouterr().err
+            assert sum("error:" in line for line in err.splitlines()) == 1, argv
+            assert "unrecognized arguments" in err, argv
+            assert not (tmp_path / argv[0]).exists(), argv
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "riccati-cascade" in capsys.readouterr().out
+
+
+# a small valid call of each subcommand
+_SMALL_CALLS = {
+    "hist": ["--samples", "20", "--depth", "4"],
+    "vcurve": ["--samples", "20", "--depth", "4", "--t-max", "2", "--step", "0.1",
+               "--t-step", "1"],
+    "v0": ["--t-max", "2", "--step", "0.1"],
+    "qn": ["--depth", "4", "--t-max", "2", "--step", "0.1"],
+    "residual": ["--depth", "4", "--t-max", "2", "--step", "0.1"],
+    "paths": ["--samples", "20", "--depth", "4", "--t-max", "2", "--t-step", "1"],
+    "check": ["--fast"],
+    "figures": ["--preset", "fig2", "--samples", "20", "--depth", "4", "--t-max", "1",
+                "--step", "0.1"],
+    "sweep": ["--alpha-list", "0.66,1.5", "--max-n", "10", "--t-max", "2", "--step", "0.1"],
+}
+
+
+class TestFlagTable:
+    """Each subcommand takes exactly the flags its handler reads, plus --seed and --out."""
+
+    def test_each_subcommand_takes_the_pinned_flags(self):
+        assert _subcommand_flags() == {
+            command: flags | {"seed", "out"} for command, flags in SUBCOMMAND_FLAGS.items()
+        }
+        assert sum(len(flags) for flags in SUBCOMMAND_FLAGS.values()) == 56
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+    def test_handler_reads_every_flag_it_takes(self, tmp_path, monkeypatch, command):
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                if not name.startswith("__"):
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        handler = cli._HANDLERS[command]
+        monkeypatch.setitem(cli._HANDLERS, command,
+                            lambda args, seed, out: handler(Recording(**vars(args)), seed, out))
+        monkeypatch.setattr(cli, "run_all_checks",
+                            lambda *a, **k: [CheckResult("stream_determinism", True, "ok")])
+        # a read of a flag the parser lacks raises AttributeError out of main
+        assert run(tmp_path, command, *_SMALL_CALLS[command], "--seed", "5") == 0
+        assert reads == _subcommand_flags()[command] - {"seed", "out"}
 
 
 class TestSeedHandling:
@@ -215,7 +303,7 @@ class TestSubcommands:
         out_dir = next((tmp_path / "hist").iterdir())
         assert (out_dir / "histogram.csv").exists()
         manifest = load_manifest(out_dir / "manifest.json")
-        assert manifest.seed == 3
+        assert manifest.params["seed"] == 3
         assert verify_manifest(out_dir / "manifest.json") == []
 
     def test_vcurve(self, tmp_path):
@@ -242,12 +330,13 @@ class TestSubcommands:
                    "--step", "0.02", "--seed", "5") == 0
         assert "max |r|" in capsys.readouterr().out
 
-    def test_figures_preset_alpha(self, tmp_path):
+    def test_figures_preset_alpha(self, tmp_path, capsys):
         assert run(tmp_path, "figures", "--preset", "fig2", "--seed", "42",
                    "--samples", "40", "--depth", "5", "--t-max", "4", "--step", "0.05") == 0
+        assert "figures fig2 at alpha=1.5:" in capsys.readouterr().out
         out_dir = next((tmp_path / "figures").iterdir())
         manifest = load_manifest(out_dir / "manifest.json")
-        assert manifest.alpha == 1.5
+        assert manifest.params["preset"] == "fig2" and "alpha" not in manifest.params
         assert verify_manifest(out_dir / "manifest.json") == []
 
 
@@ -269,11 +358,6 @@ class TestFigures:
         got.pop("timestamp"), want.pop("timestamp")
         assert got == want
         assert sorted(got["outputs"]) == sorted(names)
-
-    def test_alpha_flag_does_not_move_the_directory(self, tmp_path):
-        assert run(tmp_path, "figures", "--preset", "fig2", *self.SMALL) == 0
-        assert run(tmp_path, "figures", "--preset", "fig2", "--alpha", "3", *self.SMALL) == 0
-        assert len(list((tmp_path / "figures").iterdir())) == 1
 
     def test_unknown_preset(self, tmp_path):
         assert run(tmp_path, "figures", "--preset", "fig9", "--seed", "1") == 2
@@ -385,29 +469,46 @@ class TestCheckCommand:
         assert verify_manifest(out_dir / "manifest.json") == []
 
 
+    @pytest.mark.parametrize("argv, samples", [((), 2000), (("--samples", "5000"), 5000)])
+    def test_samples_reaches_the_suite(self, tmp_path, monkeypatch, argv, samples):
+        seen = {}
+
+        def record(alpha, seed, samples, fast):
+            seen.update(samples=samples, fast=fast)
+            return [CheckResult("stream_determinism", True, "ok")]
+
+        monkeypatch.setattr(cli, "run_all_checks", record)
+        assert run(tmp_path, "check", *argv, "--fast", "--seed", "21") == 0
+        assert seen == {"samples": samples, "fast": True}
+
+
 class TestManifestCommand:
-    """`main` names every subcommand flag but --out and --workers in the
-    manifest's command string, which the config digest covers."""
+    """The manifest names the subcommand and records every flag it took but
+    --out and --workers, with the resolved seed; the config digest covers both."""
 
     COMMANDS = [
-        (["hist", "--t", "1.5"], "hist --t 1.5"),
-        (["hist"], "hist --t 2.0"),
-        (["vcurve"], "vcurve --t-step 0.5"),
-        (["v0", "--picard-k", "3"], "v0"),
-        (["qn", "--alpha", "2.5"], "qn"),
-        (["paths", "--t-step", "2"], "paths --t-step 2.0"),
-        (["residual"], "residual"),
-        (["check", "--fast"], "check --fast True"),
-        (["check"], "check --fast False"),
-        (["figures", "--preset", "fig3"], "figures --preset fig3"),
+        (["hist", "--t", "1.5"], {"t": 1.5}),
+        (["hist"], {"t": 2.0}),
+        (["vcurve"], {"t_step": 0.5}),
+        (["v0", "--picard-k", "3"], {"picard_k": 3}),
+        (["qn", "--alpha", "2.5"], {"alpha": 2.5}),
+        (["paths", "--t-step", "2"], {"t_step": 2.0}),
+        (["residual"], {"depth": 10}),
+        (["check", "--fast"], {"fast": True, "samples": 2000}),
+        (["check"], {"fast": False}),
+        (["figures", "--preset", "fig3"], {"preset": "fig3"}),
         (["sweep", "--alpha-list", "0.66,1.5", "--max-n", "10"],
-         "sweep --alpha-list 0.66,1.5 --gap-tol 0.0001 --max-n 10 --t 4.0"),
+         {"alpha_list": "0.66,1.5", "gap_tol": 0.0001, "max_n": 10, "t": 4.0}),
     ]
 
-    @pytest.mark.parametrize("argv, command", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
-    def test_command_string(self, argv, command):
-        args = cli._build_parser().parse_args([*argv, "--workers", "2", "--out", "elsewhere"])
-        assert cli._manifest_for(args, 1).command == command
+    @pytest.mark.parametrize("argv, values", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
+    def test_command_string(self, argv, values):
+        args = cli._build_parser().parse_args([*argv, "--out", "elsewhere"])
+        manifest = cli._manifest_for(args, 1)
+        assert manifest.command == argv[0]
+        assert manifest.params.keys() == SUBCOMMAND_FLAGS[argv[0]] - {"workers"} | {"seed"}
+        assert manifest.params["seed"] == 1
+        assert values.items() <= manifest.params.items()
 
     def test_gap_tol_moves_the_sweep_directory(self, tmp_path):
         argv = ("sweep", "--alpha-list", "0.66,1.5", "--step", "0.05", "--max-n", "10",
@@ -416,11 +517,8 @@ class TestManifestCommand:
         assert run(tmp_path, *argv, "--gap-tol", "1e-9") == 0
         dirs = sorted((tmp_path / "sweep").iterdir())
         assert len(dirs) == 2
-        commands = {load_manifest(d / "manifest.json").command for d in dirs}
-        assert commands == {
-            "sweep --alpha-list 0.66,1.5 --gap-tol 0.0001 --max-n 10 --t 4.0",
-            "sweep --alpha-list 0.66,1.5 --gap-tol 1e-09 --max-n 10 --t 4.0",
-        }
+        gap_tols = {load_manifest(d / "manifest.json").params["gap_tol"] for d in dirs}
+        assert gap_tols == {1e-4, 1e-9}
         for d in dirs:
             assert verify_manifest(d / "manifest.json") == []
 
@@ -436,9 +534,9 @@ _FUZZ_BASE = {
     "figures": ["--preset", "fig2"],
     "sweep": ["--alpha-list", "0.66,2.5", "--max-n", "10"],
 }
-_FUZZ_COMMON = ["alpha", "t-max", "step", "depth", "picard-k", "samples", "eps-tail", "workers"]
-_FUZZ_EXTRA = {"hist": ["t"], "vcurve": ["t-step"], "paths": ["t-step"],
-               "sweep": ["alpha-list", "t", "max-n", "gap-tol"]}
+# the flags each subcommand's parser takes, but --seed and --out
+_FUZZ_FLAGS = {command: sorted(dest.replace("_", "-") for dest in dests - {"seed", "out"})
+               for command, dests in _subcommand_flags().items()}
 # None of these parses as a large integer, so --depth, --picard-k and --max-n
 # only ever see 0 and -1: chain cost grows with them and has no cap by design.
 _EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-320"]
@@ -456,8 +554,10 @@ def _fuzz_argv(draw, command):
         "samples": draw(st.integers(1, 50)),
         "workers": draw(st.integers(1, 2)),
     }
-    argv = [command, *_FUZZ_BASE[command], *(f"--{k}={v}" for k, v in sizes.items()), "--seed=5"]
-    flag = draw(st.sampled_from([None, *_FUZZ_COMMON, *_FUZZ_EXTRA.get(command, [])]))
+    flags = _FUZZ_FLAGS[command]
+    argv = [command, *_FUZZ_BASE[command],
+            *(f"--{k}={v}" for k, v in sizes.items() if k in flags), "--seed=5"]
+    flag = draw(st.sampled_from([None, *flags]))
     if flag is not None:  # the last occurrence of a flag wins
         argv.append(f"--{flag}={draw(st.sampled_from(_EDGE_VALUES))}")
     return argv

@@ -12,7 +12,6 @@ from riccati_cascade import (
     GridMemoryError,
     UniformGrid,
     convolve_kernel,
-    evaluate,
     integrate_tail,
     iterate_qn,
     iterate_qn_levels,
@@ -41,7 +40,7 @@ def literal_v_deviations(alpha, n, work_t_max=32.0):
         base = UniformGrid(8.0, step)
         work = UniformGrid(work_t_max, step)
         v0 = picard_v0(alpha, base, 5)
-        vv = evaluate(v0, work.nodes)
+        vv = v0(work.nodes)
         tail = v0.tail_value
         for _ in range(n):
             sq = GridFunction(work, np.clip(vv, 0, 1) ** 2, tail**2)
@@ -76,30 +75,27 @@ class TestEvaluate:
     def test_constant(self):
         ones = GridFunction.constant(GRID, 1.0)
         for t in (0.0, 3.3333, 8.0, 100.0):
-            assert evaluate(ones, t) == 1.0
+            assert ones(t) == 1.0
+        assert type(ones(2.0)) is float  # a scalar in, a float out
 
     def test_linear_between_nodes(self):
         grid = UniformGrid(0.01, 0.01)
         f = GridFunction(grid, np.array([0.0, 0.01]), 0.01)
-        assert evaluate(f, 0.005) == pytest.approx(0.005)
+        assert f(0.005) == pytest.approx(0.005)
 
     def test_tail_policy(self):
         f = GridFunction(GRID, np.linspace(0, 1, GRID.node_count), 0.25)
-        assert evaluate(f, 13.0) == 0.25
+        assert f(13.0) == 0.25
 
     def test_negative_rejected(self):
         ones = GridFunction.constant(GRID, 1.0)
         with pytest.raises(ValueError):
-            evaluate(ones, -0.1)
+            ones(-0.1)
 
     def test_vectorized(self):
         ones = GridFunction.constant(GRID, 1.0)
-        out = evaluate(ones, np.array([0.0, 4.0, 9.0]))
+        out = ones(np.array([0.0, 4.0, 9.0]))
         assert np.array_equal(out, np.ones(3))
-
-    def test_callable_alias(self):
-        ones = GridFunction.constant(GRID, 1.0)
-        assert ones(2.0) == evaluate(ones, 2.0)
 
     def test_range_bounds_validation(self):
         with pytest.raises(ValueError):

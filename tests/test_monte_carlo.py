@@ -18,7 +18,6 @@ from riccati_cascade import (
     estimate_leaf_histogram,
     estimate_path_tails,
     estimate_v_curve,
-    evaluate,
     iterate_vn,
     picard_v0,
     sample_product_indicator,
@@ -70,7 +69,7 @@ class TestVCurve:
         cfg = McConfig(seed=31415, samples=2000)
         series = estimate_v_curve(1.5, [1.0, 2.0, 4.0, 6.0, 8.0], 10, v0, cfg)
         for p in series.points:
-            z = abs(p.mean - evaluate(vn, p.t)) / p.stderr
+            z = abs(p.mean - vn(p.t)) / p.stderr
             assert z <= 4.0
 
     def test_points_are_sampler_means_over_their_own_substreams(self):
@@ -168,7 +167,7 @@ class TestPathTails:
         cfg = McConfig(seed=12, samples=2000)
         _, series = estimate_path_tails(3.0, [2.0, 4.0], 30, cfg)
         for p in series.points:
-            ref = 1.0 - evaluate(u8, p.t)
+            ref = 1.0 - u8(p.t)
             assert abs(p.mean - ref) <= 4.0 * p.stderr + 1e-3
 
     def test_requires_positive_alpha(self):

@@ -45,7 +45,7 @@ T_CLI = "tests/test_cli.py"
 T_GRID = "tests/test_grid_numerics.py"
 
 MUTANTS = [
-    # the CLI run envelope
+    # the CLI run envelope and the manifest
     Mutant("extras-drop-a-flag", CLI,
            '_UNDIGESTED = {"out", "workers", "command"}',
            '_UNDIGESTED = {"out", "workers", "command", "gap_tol"}',
@@ -57,10 +57,25 @@ MUTANTS = [
            "return [path, _sidecar_path(path)]", "return [path]",
            (f"{T_CLI}::TestFigures",)),
     Mutant("eps-tail-1-accepted", CLI,
-           "if not 0.0 < args.eps_tail < 1.0:", "if not 0.0 < args.eps_tail <= 1.0:",
+           "and not 0.0 < args.eps_tail < 1.0:", "and not 0.0 < args.eps_tail <= 1.0:",
            (f"{T_CLI}::TestUsage",)),
     Mutant("t-points-accept-zero", CLI,
            "if not 0.0 < count <= DEFAULT_NODE_CAP:", "if not count <= DEFAULT_NODE_CAP:",
+           (f"{T_CLI}::TestUsage",)),
+    # the flag table: each subcommand takes only the flags its handler reads
+    Mutant("hist-takes-step-back", CLI,
+           '"truncated leaf-count histogram", "alpha", *_MC)',
+           '"truncated leaf-count histogram", "alpha", "step", *_MC)',
+           (f"{T_CLI}::TestFlagTable",)),
+    Mutant("abbreviations-allowed", CLI,
+           "allow_abbrev=False)", "allow_abbrev=True)",
+           (f"{T_CLI}::TestUsage",)),
+    Mutant("check-samples-capped", CLI,
+           "samples=args.samples, fast=args.fast",
+           "samples=min(args.samples, 2000), fast=args.fast",
+           (f"{T_CLI}::TestCheckCommand",)),
+    Mutant("check-samples-unchecked", CLI,
+           "if args.samples < 1:", "if False:",
            (f"{T_CLI}::TestUsage",)),
     # the carried tail of the one chain loop
     Mutant("tail-not-advanced", GRID,
@@ -108,6 +123,9 @@ MUTANTS = [
     Mutant("resume-skips-a-level", GRID,
            "kept, tau, j + 1, n,", "kept, tau, j + 2, n,",
            (f"{T_GRID}::TestIterateQnLevels",)),
+    Mutant("negative-evaluation-accepted", GRID,
+           "if arr.size and float(np.min(arr)) < 0.0:", "if False:",
+           (f"{T_GRID}::TestEvaluate",)),
     Mutant("t-end-one-node-long", GRID,
            "return _interval_count(self.t_max, self.step) * self.step",
            "return (_interval_count(self.t_max, self.step) + 1) * self.step",
@@ -120,6 +138,9 @@ MUTANTS = [
            "    for d in range(depth + 1):\n        beyond",
            "    for d in range(depth):\n        beyond",
            ("tests/test_cascade_core.py::TestTailFlags",)),
+    Mutant("estimators-draw-constant-clocks", MC,
+           "_CLOCKS = ClockSource.exponential()", "_CLOCKS = ClockSource.constant(1.0)",
+           ("tests/test_monte_carlo.py::TestVCurve",)),
     Mutant("shared-trees", MC,
            "head + (j * samples, lo, hi)", "head + (0, lo, hi)",
            ("tests/test_monte_carlo.py::TestVCurve",)),
