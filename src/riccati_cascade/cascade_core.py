@@ -128,7 +128,9 @@ def _level(
     alpha: float,
     clocks: ClockSource,
     streams: list,
-) -> tuple[np.ndarray, np.ndarray]:
+    sums: np.ndarray | None = None,
+    weight: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Move a batch of trees through one level of their alive regions.
 
     Each entry of `parents` is the horizon of `width` vertices (the root, or
@@ -136,17 +138,30 @@ def _level(
     Every tree draws one clock per vertex of positive horizon from its own
     stream, in vertex order: exactly the draws it makes when sampled alone.
     A vertex at horizon 0, or whose clock exceeds its horizon, is a leaf.
-    Returns the survivors' remaining horizons times alpha and their count per tree.
+    Returns the survivors' remaining horizons times alpha, their count per
+    tree, and, given the parents' path `sums`, the survivors' sums (the
+    parent's plus `weight` times the clock, at least one ulp more) through
+    the same masks, else None.
     """
     if parents.min() <= 0.0:
-        parents, sizes = _keep(parents, parents > 0.0, sizes)
+        positive = parents > 0.0
+        if sums is not None:
+            sums = sums[positive]
+        parents, sizes = _keep(parents, positive, sizes)
     parts = [clocks.draw(streams[k], width * c) for k, c in enumerate(sizes.tolist()) if c]
     draws = parts[0] if len(parts) == 1 else np.concatenate(parts or [parents])
+    if sums is not None:
+        # a child's sum exceeds its parent's, as exact sums of positive clocks
+        # do; rounding up where the clock's term is below half an ulp keeps a
+        # horizon-0 vertex a leaf at every t, as the walk at t alone has it
+        grown = sums[:, None] + weight * draws.reshape(-1, width)
+        sums = np.maximum(grown, np.nextafter(sums, np.inf)[:, None]).ravel()
     # h - c in place; for finite doubles (gradual underflow) h - c >= 0 iff c <= h
     np.subtract(parents[:, None], draws.reshape(-1, width), out=draws.reshape(-1, width))
-    survivors, alive = _keep(draws, draws >= 0.0, width * sizes)
+    kept = draws >= 0.0
+    survivors, alive = _keep(draws, kept, width * sizes)
     survivors *= alpha
-    return survivors, alive
+    return survivors, alive, None if sums is None else sums[kept]
 
 
 def _check_frontier(survivors: int, alive: np.ndarray, frontier_cap: int, depth: int) -> None:
@@ -187,7 +202,7 @@ def leaf_census(
     for d in range(depth + 1):
         if parents.size == 0:
             break
-        parents, sizes = _level(parents, width, sizes, params.alpha, clocks, streams)
+        parents, sizes, _ = _level(parents, width, sizes, params.alpha, clocks, streams)
         alive[:, d] = sizes
         if d < depth:
             _check_frontier(parents.size, sizes, frontier_cap, d + 1)
@@ -238,44 +253,74 @@ def _x0_values(x0, args: np.ndarray) -> np.ndarray:
     return vals
 
 
-@np.errstate(over="ignore")  # as in leaf_census
+# horizons past the float range are inf, as in leaf_census; at alpha = 0 the
+# path-sum weight alpha**-d is inf from d = 1 on, where no vertex is left to draw
+@np.errstate(over="ignore", divide="ignore")
 def sample_product_indicator(
     params: CascadeParams,
-    t: float,
+    ts,
     n: int,
     x0,
     clocks: ClockSource,
     streams: list,
     frontier_cap: int = _DEFAULT_FRONTIER_CAP,
 ) -> np.ndarray:
-    """One draw of the depth-n product recursion seeded by x0 per stream.
+    """One draw of the depth-n product recursion seeded by x0 per stream,
+    read at every horizon of the 1-D array `ts`.
 
     A vertex whose clock exceeds its horizon contributes the factor 1; a
     surviving vertex passes the rescaled remaining horizon to two children.
     After n levels the surviving horizons are fed through x0 and multiplied
     (empty product = 1).  For n=0 the value is x0(t) directly.  The
-    expectation equals the n-th deterministic iterate seeded by x0.  Entry
-    k is the draw from the tree of `streams[k]`: the trees advance together
-    but each consumes its own clocks, and its factors are multiplied in
-    vertex order.
+    expectation equals the n-th deterministic iterate seeded by x0.  Row k
+    holds the draws from the tree of `streams[k]`: the trees advance
+    together but each consumes its own clocks, and its factors are
+    multiplied in vertex order.
+
+    Each tree is walked once, at t_max = max(ts); a child's horizon grows
+    with its parent's, so that walk visits every vertex alive at a smaller
+    t.  Every entry carries its unscaled path sum S = sum_j alpha**-j c_j,
+    and at t the depth-n vertices alive are those with S <= t, at horizon
+    alpha**n (t - S).  At t_max the walk's own horizons are read, so a
+    one-horizon call gives the same values as a walk at that horizon alone.
     """
-    _validate_horizon_depth(t, n, _MAX_COUNT_DEPTH)
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError(f"ts must be a non-empty 1-D array of horizons, got shape {ts.shape}")
+    top = float(ts.max())
+    for t in (float(ts.min()), top):  # nan fails both
+        _validate_horizon_depth(t, n, _MAX_COUNT_DEPTH)
+    alpha = np.float64(params.alpha)
     n_trees = len(streams)
-    parents, width, sizes = np.full(n_trees, float(t)), 1, np.ones(n_trees, dtype=np.int64)
+    parents, width, sizes = np.full(n_trees, top), 1, np.ones(n_trees, dtype=np.int64)
+    sums = np.zeros(n_trees)
     for d in range(n):
         if parents.size == 0:
             break
-        parents, sizes = _level(parents, width, sizes, params.alpha, clocks, streams)
+        parents, sizes, sums = _level(parents, width, sizes, alpha, clocks, streams,
+                                      sums, alpha ** -d)
         _check_frontier(parents.size, sizes, frontier_cap, d + 1)
         width = 2
     # a leaf contributes the factor 1 (a horizon-0 vertex with budget left is
     # one: its clock exceeds 0 surely); the frontier at depth n goes through
     # x0 (once per entry of parents), horizon 0 included; an empty product is 1
-    out = np.ones(n_trees)
+    out = np.ones((n_trees, ts.size))
     if parents.size:
         grown = np.flatnonzero(sizes)
         starts = (sizes.cumsum() - sizes)[grown] * width
-        out[grown] = np.multiply.reduceat(_x0_values(x0, parents).repeat(width), starts)
+        scale = alpha ** n
+        for j, t in enumerate(ts.tolist()):
+            if t == top:
+                factors = _x0_values(x0, parents)
+            else:
+                factors = np.ones(parents.size)
+                alive = sums <= t
+                gap = t - sums[alive]
+                # a vertex at horizon 0 reads x0(0), also where alpha**n is inf
+                horizons = np.zeros_like(gap)
+                np.multiply(gap, scale, out=horizons, where=gap > 0.0)
+                factors[alive] = _x0_values(x0, horizons)
+            out[grown, j] = np.multiply.reduceat(factors.repeat(width), starts)
     return out
 
 
@@ -368,7 +413,7 @@ def sample_tail_flags(
         if parents.size == 0:
             break
         entered = width * sizes
-        parents, sizes = _level(parents, width, sizes, params.alpha, clocks, streams)
+        parents, sizes, _ = _level(parents, width, sizes, params.alpha, clocks, streams)
         crossed |= sizes < entered
         if d < depth:
             _check_frontier(parents.size, sizes, frontier_cap, d + 1)

@@ -81,9 +81,9 @@ def check_sampler_determinism(seed: int) -> CheckResult:
     runs = []
     for _ in range(2):
         leaves, alive = leaf_census(params, 2.0, 10, clocks, [derive_stream(params, 5)])
-        x = sample_product_indicator(params, 2.0, 6, v0, clocks, [derive_stream(params, 6)])
+        x = sample_product_indicator(params, [2.0], 6, v0, clocks, [derive_stream(params, 6)])
         s, l = sample_tail_flags(params, 2.0, 20, clocks, [derive_stream(params, 7)])
-        runs.append((int(leaves[0].sum()), bool(alive[0, 10]), float(x[0]),
+        runs.append((int(leaves[0].sum()), bool(alive[0, 10]), float(x[0, 0]),
                      (bool(s[0]), bool(l[0]))))
     ok = runs[0] == runs[1]
     return CheckResult("sampler_determinism", ok, f"two replays gave {runs[0]} and {runs[1]}")
@@ -237,10 +237,9 @@ def check_worker_count_invariance(alpha: float, seed: int) -> CheckResult:
     series = []
     hists = []
     for workers in (1, 2):
-        cfg = McConfig(seed=seed, samples=200, workers=workers)
-        series.append(estimate_v_curve(alpha, [1.0, 3.0], 6, v0, cfg))
-        # two chunks, so that two workers share the histogram too
+        # two chunks, so that two workers share each estimator's trees
         cfg = McConfig(seed=seed, samples=1200, workers=workers)
+        series.append(estimate_v_curve(alpha, [1.0, 3.0], 6, v0, cfg))
         hists.append(estimate_leaf_histogram(alpha, 2.0, 8, cfg))
     same_series = series[0] == series[1]
     same_hist = hists[0] == hists[1]

@@ -55,14 +55,36 @@ _ENV_PREFIX = "RICCATI_"
 FIGURE_PRESETS = {"fig1": 0.66, "fig2": 1.5, "fig3": 3.0}
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"invalid value {raw!r} for {_ENV_PREFIX}{name}") from None
+class _EnvDefault:
+    """A flag's default, read from RICCATI_<NAME> only once the parsed
+    subcommand is known to take the flag; shown as is in --help."""
+
+    def __init__(self, name: str, cast, fallback):
+        self.var, self.cast, self.fallback = _ENV_PREFIX + name, cast, fallback
+
+    def __str__(self) -> str:
+        return os.environ.get(self.var, str(self.fallback))
+
+    def resolve(self):
+        raw = os.environ.get(self.var)
+        if raw is None:
+            return self.fallback
+        try:
+            return self.cast(raw)
+        except (TypeError, ValueError):
+            raise ValueError(f"invalid value {raw!r} for {self.var}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Resolves the `_EnvDefault`s of the flags it parsed; a subcommand's
+    parser holds only its own, so no other subcommand's variable is read."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for dest, value in vars(namespace).items():
+            if isinstance(value, _EnvDefault):
+                setattr(namespace, dest, value.resolve())
+        return namespace, extras
 
 
 # every flag that more than one subcommand takes: (type, default, help); each
@@ -85,7 +107,7 @@ _MC = ("depth", "samples", "workers")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="riccati-cascade",
         description="Simulation and numerical analysis of the alpha-Riccati branching cascade",
     )
@@ -98,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in (*flags, "seed", "out"):
             cast, default, help_text = _FLAGS[flag]
             env = flag.upper().replace("-", "_")
-            p.add_argument(f"--{flag}", type=cast, default=_env_default(env, cast, default),
+            p.add_argument(f"--{flag}", type=cast, default=_EnvDefault(env, cast, default),
                            help=help_text)
         return p
 
@@ -119,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "alpha", "depth", *_CHAIN)
 
     p = command("check", "run the full invariant suite", "alpha", "samples")
-    p.set_defaults(samples=_env_default("SAMPLES", int, 2000))
+    p.set_defaults(samples=_EnvDefault("SAMPLES", int, 2000))
     p.add_argument("--fast", action="store_true", help="trim statistical sample sizes")
 
     p = command("figures", "figure-ready data bundle", *_CHAIN, *_MC)

@@ -279,16 +279,16 @@ def _run_q_iteration(
     n: int,
     collect: set[int] | None,
     n_base: int,
-) -> tuple[np.ndarray, dict[int, np.ndarray], float]:
+) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, float]], float]:
     """Levels first..n of q -> clip(s + K(2q - q^2)) on the working nodes.
 
     s is `source` on the working nodes, or 0 when it is None; s vanishes far
     out.  Level first-1 is `q` on the working nodes with tail `tau`, or,
     when q is None, `seed`, whose tail is `tau`.  Returns level n, the
-    collected levels restricted to the first n_base+1 nodes, and the tail
-    of level n.
+    collected levels restricted to the first n_base+1 nodes with their
+    tails, and the tail of level n.
     """
-    collected: dict[int, np.ndarray] = {}
+    collected: dict[int, tuple[np.ndarray, float]] = {}
     for j in range(first, n + 1):
         if q is None:
             g = seed(_scaled(alpha, work_nodes))
@@ -306,7 +306,7 @@ def _run_q_iteration(
         np.clip(q, 0.0, 1.0, out=q)
         tau = 2.0 * tau - tau * tau
         if collect and j in collect:
-            collected[j] = q[: n_base + 1].copy()
+            collected[j] = (q[: n_base + 1].copy(), tau)
     return q, collected, tau
 
 
@@ -334,7 +334,7 @@ def _adaptive_levels(
     collect: set[int] | None = None,
     picard_source: bool = False,
 ):
-    """Adaptively extended q-iteration; yields (n, values on `grid`, collected).
+    """Adaptively extended q-iteration; yields (n, values on `grid`, tail, collected).
 
     The chain starts from `seed`, a q-variable function, with s = 0.  With
     `picard_source` and no seed, every step adds s = 1 - K(1) on the working
@@ -380,7 +380,7 @@ def _adaptive_levels(
             chains[t_end] = (n, kept, tau)
             if i == len(extents) - 1 or abs(float(kept[-1]) - tau) < eps_tail:
                 break
-        yield n, kept[: n_base + 1], collected
+        yield n, kept[: n_base + 1], tau, collected
 
 
 def picard_v0(
@@ -405,7 +405,7 @@ def picard_v0(
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return GridFunction.constant(grid, 1.0)
-    _, vals, _ = next(_adaptive_levels(
+    _, vals, _, _ = next(_adaptive_levels(
         alpha, grid, (k,), None, eps_tail, node_cap, expand_full, picard_source=True,
     ))
     return GridFunction(grid, 1.0 - vals, 1.0, range_bounds=True)
@@ -423,7 +423,9 @@ def iterate_qn(
 ) -> GridFunction | tuple[GridFunction, dict[int, GridFunction]]:
     """n steps of q_j = K(2 q_{j-1} - q_{j-1}^2) from q0, restricted to `grid`.
 
-    q_j(0) = 0 exactly for j >= 1 and every iterate stays in [0, 1].  With
+    The result's tail is the carried tau_n, the scalar map applied n times
+    to q0's tail (a collected level j has tau_j).  q_j(0) = 0 exactly for
+    j >= 1 and every iterate stays in [0, 1].  With
     `collect` (levels in 1..n), the result is a pair: the iterate and the
     requested intermediate levels, which come from the chain on the
     working-grid extent certified for `n`.  Seeding from a supersolution
@@ -441,13 +443,13 @@ def iterate_qn(
         raise ValueError(f"collect levels must lie in 1..{n}, got {outside}")
     if n == 0:
         return q0 if collect is None else (q0, {})
-    _, vals, collected = next(
+    _, vals, tau, collected = next(
         _adaptive_levels(alpha, grid, (n,), q0, eps_tail, node_cap, expand_full, collect)
     )
-    result = GridFunction(grid, vals, 0.0, range_bounds=True)
+    result = GridFunction(grid, vals, tau, range_bounds=True)
     if collect is None:
         return result
-    levels = {j: GridFunction(grid, v, 0.0, range_bounds=True) for j, v in collected.items()}
+    levels = {j: GridFunction(grid, v, t, range_bounds=True) for j, (v, t) in collected.items()}
     return result, levels
 
 
@@ -470,7 +472,7 @@ def iterate_qn_levels(
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     _require_probability_values(q0, "q0")
     chain = _adaptive_levels(alpha, grid, levels, q0, eps_tail, node_cap)
-    return ((n, GridFunction(grid, vals, 0.0, range_bounds=True)) for n, vals, _ in chain)
+    return ((n, GridFunction(grid, vals, tau, range_bounds=True)) for n, vals, tau, _ in chain)
 
 
 def iterate_vn(
@@ -486,8 +488,8 @@ def iterate_vn(
 
     Runs as the q-chain from q_0 = 1 - v0 with no source and returns
     v_n = 1 - q_n (the same recursion algebraically; numerically stable in
-    the tail).  v_j(0) = 1 exactly for j >= 1 and every iterate stays in
-    [0, 1].
+    the tail), with tail 1 - tau_n.  v_j(0) = 1 exactly for j >= 1 and
+    every iterate stays in [0, 1].
     """
     if alpha <= 0.0 or not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
@@ -496,10 +498,10 @@ def iterate_vn(
     _require_probability_values(v0, "v0")
     if n == 0:
         return v0
-    _, vals, _ = next(
+    _, vals, tau, _ = next(
         _adaptive_levels(alpha, grid, (n,), v0.complement(), eps_tail, node_cap, expand_full)
     )
-    return GridFunction(grid, 1.0 - vals, 1.0, range_bounds=True)
+    return GridFunction(grid, 1.0 - vals, 1.0 - tau, range_bounds=True)
 
 
 @dataclass(frozen=True)

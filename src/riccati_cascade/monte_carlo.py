@@ -1,14 +1,15 @@
 """Parallel Monte Carlo estimators for the cascade, with schedule-independent output.
 
-Every estimator derives one counter-based substream per (point, sample)
-pair, so results are bit-identical for any worker count: workers only
-decide who computes which fixed chunk of the sample index space.  The
-chunks of all points of one call go through one map, so a call starts at
-most one process pool.
+Every tree reads a counter-based substream fixed by its sample index, so
+results are bit-identical for any worker count: workers only decide who
+computes which fixed chunk of the sample index space.  All chunks of one
+call go through one map, so a call starts at most one process pool.
 Standard errors are CLT-based (sample standard deviation / sqrt(n)).
 
-The two path tails come from one estimator: each tree is walked once
-and yields both the min- and the max-path-sum indicator.
+The v-curve walks each tree once, at its largest t, and reads the product
+at every t-point from that walk.  The two path tails come from one
+estimator: each tree is walked once per t-point and yields both the min-
+and the max-path-sum indicator.
 """
 
 from __future__ import annotations
@@ -208,11 +209,12 @@ def _sub_batches(params: CascadeParams, first: int, stop: int, size: int):
 
 
 def _vcurve_chunk(task) -> np.ndarray:
-    alpha, seed, t, n, v0, base_index, lo, hi = task
+    """Rows lo..hi-1 of the v-curve draws: one row per tree, one column per t."""
+    alpha, seed, ts, n, v0, base_index, lo, hi = task
     params = CascadeParams(alpha, seed)
     # v0 is a GridFunction: callable, with the tail policy built in
     return np.concatenate([
-        sample_product_indicator(params, t, n, v0, _CLOCKS, streams)
+        sample_product_indicator(params, ts, n, v0, _CLOCKS, streams)
         for streams in _sub_batches(params, base_index + lo, base_index + hi, _batch_size(n))
     ])
 
@@ -240,19 +242,22 @@ def estimate_v_curve(
 ) -> EstimateSeries:
     """Monte Carlo means of the depth-n product recursion seeded by v0.
 
-    Each t gets fresh substreams (index = point * samples + sample), so the
-    points are independent and z-tests against a deterministic reference
-    are valid per point.
+    Tree i reads substream i, and all points of a call share the trees:
+    each tree is walked once, at the largest t, and read at every t.  So
+    each point is a mean over cfg.samples independent trees and a z-test
+    against a deterministic reference is valid per point, but the points
+    are correlated; a test over several points must allow for that.
     """
     _check_depth(n)
     t_list = _check_t_points(t_points)
-    heads = [(alpha, cfg.seed, t, n, v0) for t in t_list]
-    per_point = _map_points(_vcurve_chunk, heads, cfg.samples, cfg.workers)
-    points = []
-    for t, results in zip(t_list, per_point):
-        mean, stderr = _mean_stderr(np.concatenate(results))
-        points.append(EstimatePoint(t, mean, stderr, cfg.samples))
-    return EstimateSeries(tuple(points))
+    if not t_list:
+        return EstimateSeries(())
+    [results] = _map_points(_vcurve_chunk, [(alpha, cfg.seed, np.array(t_list), n, v0)],
+                            cfg.samples, cfg.workers)
+    draws = np.concatenate(results)
+    return EstimateSeries(tuple(
+        EstimatePoint(t, *_mean_stderr(draws[:, j]), cfg.samples) for j, t in enumerate(t_list)
+    ))
 
 
 def _census_rows(

@@ -236,6 +236,37 @@ def _streams(p, first, count):
     return [derive_stream(p, i) for i in range(first, first + count)]
 
 
+def _recorded_clocks(p, t, n, clocks, stream):
+    """Clocks of one tree's walk at horizon t, keyed by vertex path (a tuple
+    of child indices), drawn vertex by vertex in the samplers' level order."""
+    clock_of, level = {}, [((), float(t))]
+    for _ in range(n):
+        below = []
+        for path, h in level:
+            if h > 0.0:
+                c = float(clocks.draw(stream, 1)[0])
+                clock_of[path] = c
+                if c <= h:
+                    below += [(path + (0,), p.alpha * (h - c)), (path + (1,), p.alpha * (h - c))]
+        level = below
+    return clock_of
+
+
+def _product_at(p, t, n, x0, clock_of):
+    """The depth-n product at horizon t on recorded clocks, by per-vertex
+    recursion: a horizon-0 vertex above depth n and a vertex whose clock
+    exceeds its horizon give 1; a depth-n vertex gives x0 of its horizon."""
+    def value(path, h):
+        if len(path) == n:
+            return float(x0(np.array([h]))[0])
+        if h <= 0.0 or clock_of[path] > h:
+            return 1.0
+        h = p.alpha * (h - clock_of[path])
+        return value(path + (0,), h) * value(path + (1,), h)
+
+    return value((), float(t))
+
+
 def _census_of_one(p, t, depth, clocks, stream, **kwargs):
     """(leaf count truncated at depth, some vertex alive at depth) of one tree."""
     leaves, alive = leaf_census(p, t, depth, clocks, [stream], **kwargs)
@@ -333,8 +364,8 @@ class TestLeafCount:
         leaves, alive = leaf_census(p, 1e308, 10, EXP, _streams(p, 0, 3))
         assert not leaves.any()
         assert np.array_equal(alive, np.tile(2 ** np.arange(11), (3, 1)))
-        x = sample_product_indicator(p, 1e308, 10, np.ones_like, EXP, _streams(p, 0, 3))
-        assert x.tolist() == [1.0, 1.0, 1.0]
+        x = sample_product_indicator(p, [1e308], 10, np.ones_like, EXP, _streams(p, 0, 3))
+        assert x.tolist() == [[1.0]] * 3
         for alpha in (1.0, 1.5):
             flags = sample_tail_flags(params(alpha), 1e308, 10, EXP, _streams(p, 0, 3))
             assert [f.tolist() for f in flags] == [[False] * 3] * 2
@@ -416,20 +447,21 @@ class TestProductIndicator:
     def test_zero_horizon_is_one(self):
         p = params(1.5, seed=23)
         for n in (1, 3, 10):
-            x = sample_product_indicator(p, 0.0, n, lambda a: np.zeros_like(a), EXP, [derive_stream(p, 0)])
-            assert x.tolist() == [1.0]
+            x = sample_product_indicator(p, [0.0], n, lambda a: np.zeros_like(a), EXP, [derive_stream(p, 0)])
+            assert x.tolist() == [[1.0]]
 
     def test_constant_one_seed_absorbs(self):
         p = params(1.5, seed=23)
         for t in (0.0, 1.0, 4.0):
-            x = sample_product_indicator(p, t, 8, lambda a: np.ones_like(a), EXP, [derive_stream(p, 1)])
-            assert x.tolist() == [1.0]
+            x = sample_product_indicator(p, [t], 8, lambda a: np.ones_like(a), EXP, [derive_stream(p, 1)])
+            assert x.tolist() == [[1.0]]
 
     def test_zero_seed_one_step_mean(self):
         # with a zero seed, X_1(t) is the indicator of the root crossing
         p = params(1.5, seed=29)
         n = 10_000
-        vals = sample_product_indicator(p, 2.0, 1, lambda a: np.zeros_like(a), EXP, _streams(p, 0, n))
+        [vals] = sample_product_indicator(p, [2.0], 1, lambda a: np.zeros_like(a), EXP,
+                                          _streams(p, 0, n)).T
         assert set(np.unique(vals)) <= {0.0, 1.0}
         p1 = math.exp(-2.0)
         band = 3.0 * math.sqrt(p1 * (1.0 - p1) / n)
@@ -437,15 +469,81 @@ class TestProductIndicator:
 
     def test_n_zero_evaluates_seed(self):
         p = params(1.5, seed=23)
-        x = sample_product_indicator(p, 3.0, 0, lambda a: np.full_like(a, 0.25), EXP, [derive_stream(p, 0)])
-        assert x.tolist() == [0.25]
+        x = sample_product_indicator(p, [3.0], 0, lambda a: np.full_like(a, 0.25), EXP, [derive_stream(p, 0)])
+        assert x.tolist() == [[0.25]]
 
     def test_out_of_range_seed_rejected(self):
         p = params(1.5, seed=23)
         with pytest.raises(ValueError):
-            sample_product_indicator(p, 1.0, 0, lambda a: np.full_like(a, 1.5), EXP, [derive_stream(p, 0)])
+            sample_product_indicator(p, [1.0], 0, lambda a: np.full_like(a, 1.5), EXP, [derive_stream(p, 0)])
         with pytest.raises(ValueError):
-            sample_product_indicator(p, 8.0, 2, lambda a: np.full_like(a, -0.1), EXP, [derive_stream(p, 1)])
+            sample_product_indicator(p, [8.0], 2, lambda a: np.full_like(a, -0.1), EXP, [derive_stream(p, 1)])
+
+
+class TestHorizons:
+    """One walk at the largest horizon, read at every horizon."""
+
+    X0 = staticmethod(lambda h: 0.9 * np.exp(-h / 3.0))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.66, 1.5, 3.0])
+    def test_columns_match_the_recursion_on_the_recorded_tree(self, alpha):
+        # unsorted, with t = 0 and a repeated point
+        ts = [0.0, 0.3, 1.0, 2.5, 6.0, 4.0, 2.5]
+        p = params(alpha, seed=97)
+        for n in (0, 1, 3, 6, 8):
+            streams = _streams(p, 0, 24)
+            got = sample_product_indicator(p, ts, n, self.X0, EXP, streams)
+            assert got.shape == (24, len(ts))
+            for i, row in enumerate(got):
+                stream = derive_stream(p, i)
+                clock_of = _recorded_clocks(p, max(ts), n, EXP, stream)
+                assert _next_draws([stream]) == _next_draws([streams[i]]), (n, i)
+                want = [_product_at(p, t, n, self.X0, clock_of) for t in ts]
+                assert np.max(np.abs(row - want)) <= 1e-12, (n, i)
+
+    @pytest.mark.parametrize("alpha", [0.66, 1.5, 3.0])
+    def test_column_at_the_largest_horizon_is_the_one_horizon_draw(self, alpha):
+        p = params(alpha, seed=61)
+        got = sample_product_indicator(p, [1.0, 5.0, 2.0], 6, self.X0, EXP, _streams(p, 0, 40))
+        alone = sample_product_indicator(p, [5.0], 6, self.X0, EXP, _streams(p, 0, 40))
+        assert got[:, 1].tolist() == alone[:, 0].tolist()
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, 1e20])
+    def test_each_column_is_the_one_horizon_draw_under_unit_clocks(self, alpha):
+        # unit clocks meet the horizons exactly: at t = 1 the root's children
+        # sit at horizon 0 and are leaves, also where alpha**-1 is below half
+        # an ulp of the root's path sum
+        p = params(alpha)
+        ts = [0.0, 1.0, 2.0, 3.0, 2.5]
+        clocks = ClockSource.constant(1.0)
+        for n in (1, 2, 4):
+            got = sample_product_indicator(p, ts, n, self.X0, clocks, [derive_stream(p, 0)])
+            alone = [sample_product_indicator(p, [t], n, self.X0, clocks, [derive_stream(p, 0)])
+                     for t in ts]
+            assert np.max(np.abs(got[0] - np.concatenate(alone)[:, 0])) <= 1e-12, n
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, 1e308])
+    def test_a_horizon_past_the_float_range_sends_no_nan_to_x0(self, alpha):
+        # alpha**n (t - S) is inf * 0 for a depth-n vertex at horizon 0 when
+        # alpha**n overflows; with unit clocks and alpha = 1e308 the depth-2
+        # vertices have S = 1 + 1 ulp, the second t below
+        def x0(h):
+            assert not np.isnan(h).any()
+            return np.exp(-np.minimum(h, 50.0))
+
+        p = params(alpha)
+        for clocks in (EXP, ClockSource.constant(1.0)):
+            for t in (1.0, np.nextafter(1.0, 2.0)):
+                for n in (2, 8):
+                    got = sample_product_indicator(p, [t, 1e308], n, x0, clocks, _streams(p, 0, 16))
+                    assert not np.isnan(got).any()
+                    assert ((got >= 0.0) & (got <= 1.0)).all()
+
+    def test_rejects_bad_horizon_arrays(self):
+        p = params(1.5)
+        for ts in ([], [[1.0, 2.0]], 1.0, [1.0, -0.5], [1.0, math.nan], [math.inf]):
+            with pytest.raises(ValueError):
+                sample_product_indicator(p, ts, 3, self.X0, EXP, [derive_stream(p, 0)])
 
 
 class TestTailFlags:
@@ -663,7 +761,7 @@ class TestBatchCore:
                     assert np.array_equal(alive, want_alive)
                     assert _next_draws(got_streams) == _next_draws(want_streams)
 
-                    got = sample_product_indicator(p, t, n, self.X0, clocks, got_streams)
+                    [got] = sample_product_indicator(p, [t], n, self.X0, clocks, got_streams).T
                     want = [
                         _reference_sample_product_indicator(p, t, n, self.X0, clocks, s)
                         for s in want_streams
@@ -688,7 +786,7 @@ class TestBatchCore:
             counts = sizes[lo:hi]
             got_streams = [derive_stream(p, i) for i in range(len(counts))]
             want_streams = [derive_stream(p, i) for i in range(len(counts))]
-            survivors, alive = _level(part, width, counts, 1.5, clocks, got_streams)
+            survivors, alive, _ = _level(part, width, counts, 1.5, clocks, got_streams)
             want_survivors, want_alive = _reference_level(part, width, counts, 1.5, clocks,
                                                           want_streams)
             assert survivors.tolist() == want_survivors, (lo, hi)
@@ -712,7 +810,7 @@ class TestBatchCore:
             assert np.array_equal(alive, want_alive)
             assert _next_draws(got_streams) == _next_draws(want_streams)
 
-            got = sample_product_indicator(p, t, 10, self.X0, EXP, got_streams)
+            [got] = sample_product_indicator(p, [t], 10, self.X0, EXP, got_streams).T
             want = [_reference_sample_product_indicator(p, t, 10, self.X0, EXP, s)
                     for s in want_streams]
             assert got.tolist() == want
@@ -743,4 +841,4 @@ class TestBatchCore:
         with pytest.raises(SamplerCapError, match="frontier"):
             leaf_census(p, t, depth, EXP, [derive_stream(p, i) for i in mixed], cap)
         with pytest.raises(SamplerCapError, match="frontier"):
-            sample_product_indicator(p, t, depth, self.X0, EXP, [derive_stream(p, i) for i in mixed], cap)
+            sample_product_indicator(p, [t], depth, self.X0, EXP, [derive_stream(p, i) for i in mixed], cap)

@@ -381,6 +381,16 @@ class TestEnvOverrides:
         assert run(tmp_path, "hist", "--seed", "9") == 2
         assert "RICCATI_SAMPLES" in capsys.readouterr().err
 
+    def test_only_the_chosen_subcommand_reads_its_variables(self, tmp_path, monkeypatch, capsys):
+        # hist takes no --eps-tail, so RICCATI_EPS_TAIL is never read; qn does
+        monkeypatch.setenv("RICCATI_EPS_TAIL", "abc")
+        assert run(tmp_path, "hist", "--samples", "10", "--depth", "3", "--seed", "1") == 0
+        capsys.readouterr()
+        assert run(tmp_path, "qn", "--step", "0.1", "--depth", "2", "--seed", "1") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: invalid value 'abc' for RICCATI_EPS_TAIL"]
+        assert not (tmp_path / "qn").exists()
+
 
 class TestSamplerCaps:
     def test_cap_overrun_is_a_config_error(self, tmp_path, monkeypatch, capsys):

@@ -424,6 +424,36 @@ class TestCarriedTail:
         for t in (0.5, 2.0, 4.0):  # 0.770, 0.176 and 0.0238
             assert abs(v(t) - full(t)) < grid_numerics.DEFAULT_EPS_TAIL, t
 
+    @staticmethod
+    def _tau(tau0, n):
+        for _ in range(n):
+            tau0 = 2.0 * tau0 - tau0 * tau0
+        return tau0
+
+    @pytest.mark.parametrize("alpha", [0.66, 1.5, 2.5])
+    @pytest.mark.parametrize("q0", [1.0, 0.3, 0.0])
+    def test_results_carry_the_tail(self, q0, alpha):
+        # past the grid's end an iterate reads tau_n, not a fixed 0 or 1
+        seed = GridFunction.constant(GRID, q0)
+        tau = self._tau(q0, 6)
+        q, levels = iterate_qn(alpha, GRID, 6, seed, collect={2, 6})
+        assert q.tail_value == levels[6].tail_value == tau
+        assert levels[2].tail_value == self._tau(q0, 2)
+        assert [f.tail_value for _, f in iterate_qn_levels(alpha, GRID, seed, (3, 6))] == [
+            self._tau(q0, 3), tau]
+        assert iterate_vn(alpha, GRID, 6, seed.complement()).tail_value == 1.0 - tau
+        assert q(20.0) == tau
+
+    def test_constant_one_seed_reads_one_past_the_grid(self):
+        q = iterate_qn(1.5, GRID, 8, GridFunction.constant(GRID, 1.0))
+        assert q(20.0) == 1.0
+        assert iterate_vn(3.0, GRID, 7, GridFunction.constant(GRID, 0.0))(20.0) == 0.0
+
+    def test_picard_seeded_chains_keep_a_zero_tail(self):
+        q0 = picard_v0(1.5, GRID, 5).complement()
+        assert iterate_qn(1.5, GRID, 6, q0).tail_value == 0.0
+        assert iterate_vn(1.5, GRID, 6, q0.complement()).tail_value == 1.0
+
 
 class TestIterateQnLevels:
     LEVELS = range(5, 41, 5)

@@ -73,19 +73,33 @@ class TestVCurve:
             assert z <= 4.0
 
     def test_points_are_sampler_means_over_their_own_substreams(self):
-        # point j draws substreams j * samples + i; 1100 samples span a full
-        # and a partial chunk, so a slip in the regrouping shows
+        # tree i reads substream i at every point: column j of the sampler's
+        # draws over substreams 0..samples-1; 1100 samples span a full and a
+        # partial chunk, so a slip in the regrouping shows
         v0 = picard_v0(1.5, GRID, 5)
         cfg = McConfig(seed=19, samples=1100)
-        ts = [0.5, 2.0, 4.0]
+        ts = [0.5, 4.0, 2.0]
         series = estimate_v_curve(1.5, ts, 8, v0, cfg)
         p = CascadeParams(1.5, cfg.seed)
-        for t_idx, t in enumerate(ts):
-            draws = [
-                sample_product_indicator(p, t, 8, v0, EXP, [derive_stream(p, t_idx * cfg.samples + i)])
-                for i in range(cfg.samples)
-            ]
-            assert series.points[t_idx].mean == np.mean(draws)
+        streams = [derive_stream(p, i) for i in range(cfg.samples)]
+        draws = sample_product_indicator(p, ts, 8, v0, EXP, streams)
+        assert series.ts().tolist() == ts
+        for j in range(len(ts)):
+            assert series.points[j].mean == np.mean(draws[:, j])
+            assert series.points[j].stderr == np.std(draws[:, j], ddof=1) / math.sqrt(cfg.samples)
+
+    def test_one_point_reads_the_walk_at_its_own_horizon(self):
+        # a one-point curve is the mean of one-horizon walks, whatever the
+        # other points of a longer call are
+        v0 = picard_v0(1.5, GRID, 5)
+        cfg = McConfig(seed=20, samples=300)
+        p = CascadeParams(1.5, cfg.seed)
+        one = estimate_v_curve(1.5, [3.0], 6, v0, cfg).points[0]
+        draws = [sample_product_indicator(p, [3.0], 6, v0, EXP, [derive_stream(p, i)])[0, 0]
+                 for i in range(cfg.samples)]
+        assert one.mean == np.mean(draws)
+        longer = estimate_v_curve(1.5, [1.0, 3.0], 6, v0, cfg).points[1]
+        assert longer == one
 
     def test_rejects_negative_points(self):
         v0 = picard_v0(1.5, GRID, 5)

@@ -77,12 +77,24 @@ MUTANTS = [
     Mutant("check-samples-unchecked", CLI,
            "if args.samples < 1:", "if False:",
            (f"{T_CLI}::TestUsage",)),
+    Mutant("env-read-for-every-subcommand", CLI,
+           "default=_EnvDefault(env, cast, default),",
+           "default=_EnvDefault(env, cast, default).resolve(),",
+           (f"{T_CLI}::TestEnvOverrides",)),
     # the carried tail of the one chain loop
     Mutant("tail-not-advanced", GRID,
            "        tau = 2.0 * tau - tau * tau\n", "",
            (f"{T_GRID}::TestCarriedTail",)),
     Mutant("certificate-on-q-alone", GRID,
            "abs(float(kept[-1]) - tau) < eps_tail", "float(kept[-1]) < eps_tail",
+           (f"{T_GRID}::TestCarriedTail",)),
+    Mutant("qn-result-drops-the-tail", GRID,
+           "result = GridFunction(grid, vals, tau, range_bounds=True)",
+           "result = GridFunction(grid, vals, 0.0, range_bounds=True)",
+           (f"{T_GRID}::TestCarriedTail",)),
+    Mutant("vn-result-drops-the-tail", GRID,
+           "GridFunction(grid, 1.0 - vals, 1.0 - tau, range_bounds=True)",
+           "GridFunction(grid, 1.0 - vals, 1.0, range_bounds=True)",
            (f"{T_GRID}::TestCarriedTail",)),
     Mutant("zero-extrapolation", GRID,
            "nodes[block]), nodes, q, right=tau)", "nodes[block]), nodes, q, right=0.0)",
@@ -138,12 +150,37 @@ MUTANTS = [
            "    for d in range(depth + 1):\n        beyond",
            "    for d in range(depth):\n        beyond",
            ("tests/test_cascade_core.py::TestTailFlags",)),
+    Mutant("every-column-at-the-top-horizons", CORE,
+           "            if t == top:\n", "            if True:\n",
+           ("tests/test_cascade_core.py::TestHorizons",)),
+    Mutant("mask-on-the-horizon", CORE,
+           "alive = sums <= t", "alive = parents >= scale * (top - t)",
+           ("tests/test_cascade_core.py::TestHorizons",)),
+    Mutant("path-sums-unweighted", CORE,
+           "sums, alpha ** -d)", "sums, 1.0)",
+           ("tests/test_cascade_core.py::TestHorizons",)),
+    Mutant("path-sums-may-tie", CORE,
+           "sums = np.maximum(grown, np.nextafter(sums, np.inf)[:, None]).ravel()",
+           "sums = grown.ravel()",
+           ("tests/test_cascade_core.py::TestHorizons",)),
+    Mutant("horizon-0-times-inf", CORE,
+           "np.multiply(gap, scale, out=horizons, where=gap > 0.0)",
+           "np.multiply(gap, scale, out=horizons)",
+           ("tests/test_cascade_core.py::TestHorizons",)),
+    Mutant("vcurve-columns-shuffled", MC,
+           "draws[:, j]), cfg.samples) for j, t in enumerate(t_list)",
+           "draws[:, -1 - j]), cfg.samples) for j, t in enumerate(t_list)",
+           ("tests/test_monte_carlo.py::TestVCurve",)),
+    Mutant("worker-check-below-the-pool", "src/riccati_cascade/checks.py",
+           "cfg = McConfig(seed=seed, samples=1200, workers=workers)\n        series",
+           "cfg = McConfig(seed=seed, samples=200, workers=workers)\n        series",
+           ("tests/test_checks.py::test_worker_invariance_maps_the_histogram_through_the_pool",)),
     Mutant("estimators-draw-constant-clocks", MC,
            "_CLOCKS = ClockSource.exponential()", "_CLOCKS = ClockSource.constant(1.0)",
            ("tests/test_monte_carlo.py::TestVCurve",)),
     Mutant("shared-trees", MC,
            "head + (j * samples, lo, hi)", "head + (0, lo, hi)",
-           ("tests/test_monte_carlo.py::TestVCurve",)),
+           ("tests/test_monte_carlo.py::TestPathTails",)),
     Mutant("stderr-times-1.5", MC,
            "float(np.std(samples, ddof=1) / math.sqrt",
            "float(1.5 * np.std(samples, ddof=1) / math.sqrt",
