@@ -7,7 +7,7 @@ routes (Monte Carlo vs deterministic quadrature) with seeded, worker-count
 independent reproducibility.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .cascade_core import (
     CascadeParams,
@@ -16,7 +16,6 @@ from .cascade_core import (
     crossing_horizon_cut,
     derive_stream,
     leaf_census,
-    path_extrema_by_depth,
     sample_product_indicator,
     sample_tail_flags,
 )
@@ -24,10 +23,8 @@ from .grid_numerics import (
     GridFunction,
     GridMemoryError,
     ResidualReport,
-    TailIntegral,
     UniformGrid,
     convolve_kernel,
-    integrate_tail,
     iterate_qn,
     iterate_qn_levels,
     iterate_vn,
@@ -54,16 +51,13 @@ __all__ = [
     "crossing_horizon_cut",
     "derive_stream",
     "leaf_census",
-    "path_extrema_by_depth",
     "sample_product_indicator",
     "sample_tail_flags",
     "GridFunction",
     "GridMemoryError",
     "ResidualReport",
-    "TailIntegral",
     "UniformGrid",
     "convolve_kernel",
-    "integrate_tail",
     "iterate_qn",
     "iterate_qn_levels",
     "iterate_vn",

@@ -28,14 +28,12 @@ __all__ = [
     "SamplerCapError",
     "derive_stream",
     "leaf_census",
-    "path_extrema_by_depth",
     "sample_product_indicator",
     "sample_tail_flags",
     "crossing_horizon_cut",
 ]
 
 _MAX_COUNT_DEPTH = 62  # leaf counts live in int64; 2**depth must fit
-_MAX_EXTREMA_DEPTH = 22  # exact extrema hold all 2**depth path sums in memory
 _DEFAULT_FRONTIER_CAP = 1 << 24
 _SURVIVAL_MASS = 70.0  # certifies a survivor up to probability exp(-70), as the cut does
 
@@ -211,39 +209,6 @@ def leaf_census(
     vertices = np.ones_like(alive)
     vertices[:, 1:] = 2 * alive[:, :-1]
     return vertices - alive, alive
-
-
-def path_extrema_by_depth(
-    params: CascadeParams,
-    depth: int,
-    clocks: ClockSource,
-    stream: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (min, max) cumulative path time at every depth 0..depth, coupled.
-
-    Enumerates all 2**depth paths of one tree, so depth is capped; the
-    returned arrays are nondecreasing in depth by construction (every
-    generation adds a positive term).
-    """
-    if params.alpha == 0.0:
-        raise ValueError("path extrema are undefined at alpha=0 (alpha**-j diverges)")
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    if depth > _MAX_EXTREMA_DEPTH:
-        raise ValueError(
-            f"exact path extrema enumerate 2**depth paths; depth {depth} exceeds "
-            f"the supported maximum {_MAX_EXTREMA_DEPTH}"
-        )
-    alpha = params.alpha
-    s = np.empty(depth + 1)
-    l = np.empty(depth + 1)
-    sums = clocks.draw(stream, 1)
-    s[0] = l[0] = sums[0]
-    for d in range(1, depth + 1):
-        sums = np.repeat(sums, 2) + alpha ** (-d) * clocks.draw(stream, 2 ** d)
-        s[d] = sums.min()
-        l[d] = sums.max()
-    return s, l
 
 
 def _x0_values(x0, args: np.ndarray) -> np.ndarray:

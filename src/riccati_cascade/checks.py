@@ -29,7 +29,6 @@ from .cascade_core import (
     ClockSource,
     derive_stream,
     leaf_census,
-    path_extrema_by_depth,
     sample_product_indicator,
     sample_tail_flags,
 )
@@ -38,6 +37,7 @@ from .grid_numerics import (
     UniformGrid,
     convolve_kernel,
     iterate_qn,
+    iterate_qn_levels,
     iterate_vn,
     picard_v0,
 )
@@ -105,17 +105,20 @@ def check_leaf_count_coupled_monotonicity(seed: int, samples: int) -> CheckResul
 
 
 def check_path_extrema_monotonicity(seed: int, samples: int, alpha: float = 1.5) -> CheckResult:
+    """The tail walk's flags {S_d > 2} and {L_d > 2} at d = 4, 8, 12 never fall
+    as d grows, and {S_d > 2} implies {L_d > 2}, tree by tree.  Exact on
+    shared substreams: a walk to a smaller depth draws a prefix of the clocks
+    of a deeper one."""
     params = CascadeParams(alpha, seed)
-    clocks = ClockSource.exponential()
-    bad = 0
-    for i in range(samples):
-        s, l = path_extrema_by_depth(params, 10, clocks, derive_stream(params, i))
-        if np.any(np.diff(s) <= 0) or np.any(np.diff(l) <= 0) or np.any(s > l):
-            bad += 1
+    flags = [sample_tail_flags(params, 2.0, depth, ClockSource.exponential(),
+                               [derive_stream(params, i) for i in range(samples)])
+             for depth in (4, 8, 12)]
+    s, l = (np.column_stack(cols) for cols in zip(*flags))
+    bad = _rows_with(np.hstack([s[:, :-1] & ~s[:, 1:], l[:, :-1] & ~l[:, 1:], s & ~l]))
     return CheckResult(
         "path_extrema_monotonicity",
         bad == 0,
-        f"{bad} violations of s<=l / strict depth growth in {samples} trees",
+        f"{bad} of {samples} trees whose flags at t=2 fall over depths 4, 8, 12 or have S not L",
     )
 
 
@@ -170,13 +173,11 @@ def check_q_iterates_decreasing(alpha: float) -> CheckResult:
     """Seeded from the constant supersolution 1, the q-chain never increases."""
     grid = UniformGrid(8.0, 0.01)
     q0 = GridFunction.constant(grid, 1.0)
-    _, levels = iterate_qn(alpha, grid, 8, q0, collect=set(range(1, 9)))
     worst = 0.0
     prev = q0.values
-    for j in range(1, 9):
-        cur = levels[j].values
-        worst = max(worst, float(np.max(cur - prev)))
-        prev = cur
+    for _, q in iterate_qn_levels(alpha, grid, q0, range(1, 9)):
+        worst = max(worst, float(np.max(q.values - prev)))
+        prev = q.values
     return CheckResult(
         "q_iterates_decreasing",
         worst <= 1e-12,
@@ -219,15 +220,22 @@ def check_quadrature_order() -> CheckResult:
 
 
 def check_q_dominated_by_seed(alpha: float, levels: int = 6) -> CheckResult:
-    """Every iterate from the supersolution seed stays below the seed."""
+    """From the constant seed 0.3, every level q_j stays below the scalar tail
+    tau_j = 2 tau_{j-1} - tau_{j-1}^2 and carries tau_j past the grid: K(1) <= 1
+    and 2q - q^2 increases in q."""
     grid = UniformGrid(8.0, 0.01)
-    q0 = GridFunction.constant(grid, 1.0)
-    _, qs = iterate_qn(alpha, grid, levels, q0, collect=set(range(1, levels + 1)))
-    worst = max(float(np.max(qs[j].values - q0.values)) for j in range(1, levels + 1))
+    tau = 0.3
+    worst, tails = -math.inf, True
+    for _, q in iterate_qn_levels(alpha, grid, GridFunction.constant(grid, tau),
+                                  range(1, levels + 1)):
+        tau = 2.0 * tau - tau * tau
+        worst = max(worst, float(np.max(q.values)) - tau)
+        tails = tails and q.tail_value == tau
     return CheckResult(
         "q_dominated_by_seed",
-        worst <= 1e-12,
-        f"max excess over the seed across n=1..{levels}: {worst:.2e}",
+        worst <= 1e-12 and tails,
+        f"max excess over tau_j across n=1..{levels}: {worst:.2e}; "
+        f"every tail is tau_j: {tails} (seed q0=0.3)",
     )
 
 

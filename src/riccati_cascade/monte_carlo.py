@@ -367,8 +367,10 @@ def compare_series(
 
     Points beyond the reference grid evaluate through its tail policy and
     are flagged.  The report passes when at least `min_fraction` of the
-    points satisfy |z| <= z_threshold.
+    points satisfy |z| <= z_threshold.  An empty series is rejected.
     """
+    if not mc.points:
+        raise ValueError("compare_series needs a Monte Carlo series with points; mc is empty")
     ts, zs, tails = [], [], []
     t_end = reference.grid.t_end
     for p in mc.points:
@@ -386,7 +388,7 @@ def compare_series(
         ts=tuple(ts),
         z_scores=tuple(zs),
         tail_evaluations=tuple(tails),
-        max_abs_z=float(abs_z.max()) if abs_z.size else 0.0,
+        max_abs_z=float(abs_z.max()),
         fraction_within=fraction,
         z_threshold=z_threshold,
         min_fraction=min_fraction,

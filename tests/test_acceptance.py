@@ -19,8 +19,7 @@ from riccati_cascade import (
     estimate_leaf_histogram,
     estimate_path_tails,
     estimate_v_curve,
-    integrate_tail,
-    iterate_qn,
+    iterate_qn_levels,
     iterate_vn,
     picard_v0,
 )
@@ -132,7 +131,7 @@ def test_criterion_05_regime_classification():
             q0 = GridFunction.constant(GRID, 1.0)
         else:
             q0 = picard_v0(alpha, GRID, 5).complement()
-        _, levels = iterate_qn(alpha, GRID, 20, q0, collect={15, 20})
+        levels = dict(iterate_qn_levels(alpha, GRID, q0, (15, 20)))
         q20 = levels[20](2.0)
         gap = abs(q20 - levels[15](2.0))
         results[alpha] = (q20, gap)
@@ -222,10 +221,10 @@ def test_criterion_09_integrability_diagnostic():
     tail_section = q8.values[last_crossing + 1 :]
     nonincreasing = bool(np.all(np.diff(tail_section) <= 1e-12))
 
-    head = integrate_tail(q8).head
+    head = float(np.trapezoid(q8.values, dx=GRID.step))
     doubled_grid = UniformGrid(16.0, 0.01)
     q8_doubled = picard_v0(1.5, doubled_grid, 8).complement()
-    head_doubled = integrate_tail(q8_doubled).head
+    head_doubled = float(np.trapezoid(q8_doubled.values, dx=doubled_grid.step))
     stable = abs(head_doubled - head) / head < 0.01
 
     # 1 - U_8(t) = P(L_7 > t): tree sampling gives the grid-end value independently

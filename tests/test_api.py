@@ -17,17 +17,14 @@ PUBLIC_NAMES = {
     "crossing_horizon_cut",
     "derive_stream",
     "leaf_census",
-    "path_extrema_by_depth",
     "sample_product_indicator",
     "sample_tail_flags",
     # grid_numerics
     "GridFunction",
     "GridMemoryError",
     "ResidualReport",
-    "TailIntegral",
     "UniformGrid",
     "convolve_kernel",
-    "integrate_tail",
     "iterate_qn",
     "iterate_qn_levels",
     "iterate_vn",
@@ -47,7 +44,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 30
+    assert len(PUBLIC_NAMES) == 27
     assert sorted(riccati_cascade.__all__) == sorted(PUBLIC_NAMES | {"__version__"})
     assert len(riccati_cascade.__all__) == len(set(riccati_cascade.__all__))
 

@@ -16,7 +16,6 @@ from riccati_cascade import (
     derive_stream,
     estimate_path_tails,
     leaf_census,
-    path_extrema_by_depth,
     sample_product_indicator,
     sample_tail_flags,
 )
@@ -399,48 +398,6 @@ class TestLeafCount:
         p = params(3.0, seed=61)
         with pytest.raises(RuntimeError, match="frontier"):
             leaf_census(p, 8.0, 20, EXP, [derive_stream(p, 0)], frontier_cap=8)
-
-
-class TestPathExtrema:
-    def test_depth_zero_is_root_clock(self):
-        p = params(1.5, seed=13)
-        stream = derive_stream(p, 0)
-        root_clock = derive_stream(p, 0).standard_exponential(1)[0]
-        s, l = path_extrema_by_depth(p, 0, EXP, stream)
-        assert s[0] == l[0] == pytest.approx(root_clock)
-
-    def test_constant_clock_geometric_sum(self):
-        # unit clocks, alpha=2: every path sums 1 + 1/2 + 1/4
-        p = params(2.0, seed=13)
-        s, l = path_extrema_by_depth(p, 2, ClockSource.constant(1.0), derive_stream(p, 0))
-        assert s[2] == pytest.approx(1.75)
-        assert l[2] == pytest.approx(1.75)
-
-    def test_matches_pathwise_enumeration(self):
-        # independent oracle: walk every root-to-leaf path over the recorded
-        # clock draws (level d consumes 2^d clocks in child order)
-        p = params(1.3, seed=17)
-        depth = 4
-        s, l = path_extrema_by_depth(p, depth, EXP, derive_stream(p, 0))
-        twin = derive_stream(p, 0)
-        level_draws = [EXP.draw(twin, 2**d) for d in range(depth + 1)]
-        path_sums = []
-        for leaf in range(2**depth):
-            total = 0.0
-            for d in range(depth + 1):
-                total += 1.3 ** (-d) * level_draws[d][leaf >> (depth - d)]
-            path_sums.append(total)
-        assert s[depth] == pytest.approx(min(path_sums))
-        assert l[depth] == pytest.approx(max(path_sums))
-
-    def test_alpha_zero_rejected(self):
-        with pytest.raises(ValueError):
-            path_extrema_by_depth(params(0.0), 3, EXP, derive_stream(params(0.0), 0))
-
-    def test_depth_cap_rejected(self):
-        p = params(1.5)
-        with pytest.raises(ValueError):
-            path_extrema_by_depth(p, 30, EXP, derive_stream(p, 0))
 
 
 class TestProductIndicator:

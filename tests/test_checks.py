@@ -7,7 +7,9 @@ Every invariant that `riccati-cascade check` runs is implemented once, as a
 instead of keeping copies of them.
 """
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +89,17 @@ def test_roster_runs_each_check_once_in_order(monkeypatch):
     assert calls == [f"check_{name}" for name in ROSTER]
     assert sorted(calls) == sorted(names)
     assert {row.values[0].__name__ for row in TIER1} == set(names)
+
+
+def test_check_names_match_the_benchmark_metrics():
+    # the benchmark records one checks.<name>_s metric per check_* function
+    # and fails when they differ from the per-layer names it declares
+    bench = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    declared = {m["name"] for m in bench["per_layer"]
+                if m["name"].startswith("checks.") and m["name"] != "checks.import_s"}
+    recorded = {f"checks.{name.removeprefix('check_')}_s"
+                for name in vars(checks) if name.startswith("check_")}
+    assert recorded == declared
 
 
 class TestCiCalibration:

@@ -12,7 +12,6 @@ from riccati_cascade import (
     GridMemoryError,
     UniformGrid,
     convolve_kernel,
-    integrate_tail,
     iterate_qn,
     iterate_qn_levels,
     iterate_vn,
@@ -178,9 +177,10 @@ class TestPicard:
         assert np.all(np.diff(u5.values) >= -1e-12)
 
     def test_restriction_extent_stable(self):
-        # forcing the full expansion must not change the restricted values
+        # the full expansion (eps_tail 0 certifies no shorter extent) must not
+        # change the restricted values
         u_adaptive = picard_v0(1.5, GRID, 5)
-        u_full = picard_v0(1.5, GRID, 5, expand_full=True)
+        u_full = picard_v0(1.5, GRID, 5, eps_tail=0.0)
         assert np.max(np.abs(u_adaptive.values - u_full.values)) < 1e-9
 
     def test_rejects_bad_args(self):
@@ -222,7 +222,7 @@ def _reference_picard(alpha, grid, k, eps_tail=grid_numerics.DEFAULT_EPS_TAIL):
     Returns the values on `grid` and the node counts of the working grids
     tried, the accepted one last (accepted when 1 - U < eps_tail at its end).
     """
-    extents = grid_numerics._extent_schedule(grid, alpha, k, False)
+    extents = grid_numerics._extent_schedule(grid, alpha, k)
     tried = []
     for t_end in extents:
         work_nodes = grid_numerics._working_nodes(t_end, grid.step, grid_numerics.DEFAULT_NODE_CAP)
@@ -310,25 +310,6 @@ class TestIterateQn:
         for n in (1, 3, 8):
             assert iterate_qn(1.5, GRID, n, q0).values[0] == 0.0
 
-    def test_collect_levels(self):
-        q0 = GridFunction.constant(GRID, 1.0)
-        q8, levels = iterate_qn(1.5, GRID, 8, q0, collect={2, 5, 8})
-        assert set(levels) == {2, 5, 8}
-        assert np.array_equal(levels[8].values, q8.values)
-
-    def test_collect_result_is_a_pair_at_every_n(self):
-        q0 = GridFunction.constant(GRID, 1.0)
-        for n in (0, 1, 3):
-            assert isinstance(iterate_qn(1.5, GRID, n, q0), GridFunction)
-            q, levels = iterate_qn(1.5, GRID, n, q0, collect=set())
-            assert levels == {}
-            assert np.array_equal(q.values, iterate_qn(1.5, GRID, n, q0).values)
-
-    @pytest.mark.parametrize("n, collect", [(3, {0, 2, 5}), (3, {4}), (3, {-1}), (0, {1})])
-    def test_collect_outside_the_levels_is_rejected(self, n, collect):
-        with pytest.raises(ValueError, match="collect"):
-            iterate_qn(1.5, GRID, n, GridFunction.constant(GRID, 1.0), collect=collect)
-
     @pytest.mark.parametrize("alpha", [0.66, 1.0, 1.2, 2.5])
     def test_blocked_interpolation_is_np_interp(self, alpha):
         rng = np.random.default_rng(5)
@@ -342,8 +323,7 @@ class TestIterateQn:
     def test_in_place_step_matches_reference_expression(self):
         # alpha <= 1 runs one working grid, so this pins the step arithmetic
         q = np.ones(GRID.node_count)
-        _, levels = iterate_qn(0.66, GRID, 6, GridFunction.constant(GRID, 1.0),
-                               collect=set(range(1, 7)))
+        levels = dict(iterate_qn_levels(0.66, GRID, GridFunction.constant(GRID, 1.0), range(1, 7)))
         for j in range(1, 7):
             g = np.interp(0.66 * GRID.nodes, GRID.nodes, q, right=1.0 if j == 1 else 0.0)
             q = np.clip(_reference_trapezoid_convolve(2.0 * g - g * g, GRID.step), 0.0, 1.0)
@@ -381,9 +361,9 @@ def _spy_steps(monkeypatch):
     runs = []
     real = grid_numerics._run_q_iteration
 
-    def spy(alpha, step, work_nodes, seed, source, q, tau, first, n, *rest):
+    def spy(alpha, step, work_nodes, seed, source, q, tau, first, n):
         runs.append((len(work_nodes), first, n))
-        return real(alpha, step, work_nodes, seed, source, q, tau, first, n, *rest)
+        return real(alpha, step, work_nodes, seed, source, q, tau, first, n)
 
     monkeypatch.setattr(grid_numerics, "_run_q_iteration", spy)
     return runs
@@ -413,14 +393,14 @@ class TestCarriedTail:
         runs = _spy_steps(monkeypatch)
         q = iterate_qn(alpha, GRID, n, seed)
         certified = runs[-1][0]
-        full = iterate_qn(alpha, GRID, n, seed, expand_full=True)
+        full = iterate_qn(alpha, GRID, n, seed, eps_tail=0.0)
         assert np.max(np.abs(q.values - full.values)) < grid_numerics.DEFAULT_EPS_TAIL
         assert certified < runs[-1][0]  # a shorter extent than the full expansion
 
     def test_finiteness_chain_from_zero_matches_full_expansion(self):
         v0 = GridFunction.constant(GRID, 0.0)
         v = iterate_vn(3.0, GRID, 7, v0)
-        full = iterate_vn(3.0, GRID, 7, v0, expand_full=True)
+        full = iterate_vn(3.0, GRID, 7, v0, eps_tail=0.0)
         for t in (0.5, 2.0, 4.0):  # 0.770, 0.176 and 0.0238
             assert abs(v(t) - full(t)) < grid_numerics.DEFAULT_EPS_TAIL, t
 
@@ -436,11 +416,10 @@ class TestCarriedTail:
         # past the grid's end an iterate reads tau_n, not a fixed 0 or 1
         seed = GridFunction.constant(GRID, q0)
         tau = self._tau(q0, 6)
-        q, levels = iterate_qn(alpha, GRID, 6, seed, collect={2, 6})
-        assert q.tail_value == levels[6].tail_value == tau
-        assert levels[2].tail_value == self._tau(q0, 2)
-        assert [f.tail_value for _, f in iterate_qn_levels(alpha, GRID, seed, (3, 6))] == [
-            self._tau(q0, 3), tau]
+        q = iterate_qn(alpha, GRID, 6, seed)
+        assert q.tail_value == tau
+        assert [f.tail_value for _, f in iterate_qn_levels(alpha, GRID, seed, (2, 3, 6))] == [
+            self._tau(q0, 2), self._tau(q0, 3), tau]
         assert iterate_vn(alpha, GRID, 6, seed.complement()).tail_value == 1.0 - tau
         assert q(20.0) == tau
 
@@ -589,45 +568,17 @@ class TestResidual:
         assert riccati_residual(f, 1.0).max_abs_residual == 0.0
 
 
-class TestIntegrateTail:
-    def test_constant_one(self):
-        ones = GridFunction.constant(GRID, 1.0)
-        result = integrate_tail(ones)
-        assert result.head == pytest.approx(8.0)
-        assert result.diverges
-
-    def test_exponential_analytic(self):
-        f = GridFunction(GRID, np.exp(-GRID.nodes), math.exp(-8.0))
-        result = integrate_tail(f)
-        assert abs(result.head - (1.0 - math.exp(-8.0))) < 1e-4
-        assert result.diverges  # positive flat tail
-
-    def test_explosion_seed_surrogate_is_integrable(self):
-        q0 = picard_v0(1.5, GRID, 5).complement()
-        result = integrate_tail(q0)
-        assert math.isfinite(result.head)
-        assert result.tail_value == 0.0
-        assert not result.diverges
-
-
 class TestWorkingGridLimits:
     def test_node_cap_raises(self):
         q0 = GridFunction.constant(GRID, 1.0)
         with pytest.raises(GridMemoryError):
             iterate_qn(3.0, GRID, 8, q0, node_cap=1000)
 
-    def test_full_expansion_overflow_raises(self):
-        q0 = GridFunction.constant(GRID, 1.0)
-        with pytest.raises(GridMemoryError):
-            iterate_qn(3.0, GRID, 20, q0, expand_full=True)
-
     def test_overflowing_expansion_bound_still_runs_adaptively(self):
         # 3.0**700 overflows a float: the doubling schedule runs against an
-        # infinite bound and certifies an extent; only the full expansion fails
+        # infinite bound and certifies an extent
         grid = UniformGrid(8.0, 0.1)
         u = picard_v0(3.0, grid, 700)
         q = iterate_qn(3.0, grid, 700, u.complement())
         assert u.values[0] == 0.0 and q.values[0] == 0.0
         assert np.all(np.diff(u.values) >= -1e-12)
-        with pytest.raises(GridMemoryError):
-            picard_v0(3.0, grid, 700, expand_full=True)

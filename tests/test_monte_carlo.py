@@ -24,6 +24,7 @@ from riccati_cascade import (
     sample_tail_flags,
 )
 from riccati_cascade import monte_carlo
+from riccati_cascade.checks import _binomial_pmf
 
 GRID = UniformGrid(8.0, 0.01)
 EXP = ClockSource.exponential()
@@ -184,9 +185,26 @@ class TestPathTails:
             ref = 1.0 - u8(p.t)
             assert abs(p.mean - ref) <= 4.0 * p.stderr + 1e-3
 
+    @pytest.mark.parametrize("alpha, depth", [(3.0, 6), (1.5, 8)])
+    def test_s_tail_matches_the_finiteness_chain_from_zero(self, alpha, depth):
+        # P(S_n > t) = v_{n+1}(t), the v-chain from v_0 = 0; a point fails
+        # when its exact two-sided binomial p-value is below 1e-6
+        v = iterate_vn(alpha, GRID, depth + 1, GridFunction.constant(GRID, 0.0))
+        cfg = McConfig(seed=5, samples=4000)
+        s_series, _ = estimate_path_tails(alpha, [0.5, 2.0, 4.0], depth, cfg)
+        for p in s_series.points:
+            k = round(p.mean * p.n_samples)
+            assert _binomial_p_value(k, p.n_samples, v(p.t)) >= 1e-6, (p.t, p.mean, v(p.t))
+
     def test_requires_positive_alpha(self):
         with pytest.raises(ValueError):
             estimate_path_tails(0.0, [1.0], 5, McConfig(seed=1, samples=10))
+
+
+def _binomial_p_value(k, n, p):
+    """Two-sided exact p-value of k successes in n trials at success probability p."""
+    pmf = [_binomial_pmf(j, n, p) for j in range(n + 1)]
+    return min(1.0, 2.0 * min(math.fsum(pmf[: k + 1]), math.fsum(pmf[k:])))
 
 
 class TestReproducibility:
@@ -313,6 +331,13 @@ class TestCompareSeries:
         series = estimate_v_curve(1.5, [1.0, 2.0, 3.0, 4.0], 8, v0_15, cfg)
         report = compare_series(series, vn_3)
         assert not report.passed
+
+    def test_empty_series_is_rejected(self):
+        empty = estimate_v_curve(1.5, [], 4, GridFunction.constant(GRID, 1.0),
+                                 McConfig(seed=19, samples=10))
+        assert empty.points == ()
+        with pytest.raises(ValueError, match="series .*empty"):
+            compare_series(empty, GridFunction.constant(GRID, 1.0))
 
     def test_tail_points_flagged(self):
         ones = GridFunction.constant(UniformGrid(2.0, 0.1), 1.0)

@@ -43,6 +43,7 @@ MC = "src/riccati_cascade/monte_carlo.py"
 CORE = "src/riccati_cascade/cascade_core.py"
 T_CLI = "tests/test_cli.py"
 T_GRID = "tests/test_grid_numerics.py"
+T_CHECKS = "tests/test_checks.py"
 
 MUTANTS = [
     # the CLI run envelope and the manifest
@@ -85,12 +86,16 @@ MUTANTS = [
     Mutant("tail-not-advanced", GRID,
            "        tau = 2.0 * tau - tau * tau\n", "",
            (f"{T_GRID}::TestCarriedTail",)),
+    Mutant("tail-not-advanced-under-the-check", GRID,
+           "        tau = 2.0 * tau - tau * tau\n", "",
+           (f"{T_CHECKS}::test_check_passes[q_dominated_by_seed-0.66-8]",
+            f"{T_CHECKS}::test_check_passes[q_dominated_by_seed-2.5-8]")),
     Mutant("certificate-on-q-alone", GRID,
            "abs(float(kept[-1]) - tau) < eps_tail", "float(kept[-1]) < eps_tail",
            (f"{T_GRID}::TestCarriedTail",)),
     Mutant("qn-result-drops-the-tail", GRID,
-           "result = GridFunction(grid, vals, tau, range_bounds=True)",
-           "result = GridFunction(grid, vals, 0.0, range_bounds=True)",
+           "    return GridFunction(grid, vals, tau, range_bounds=True)\n",
+           "    return GridFunction(grid, vals, 0.0, range_bounds=True)\n",
            (f"{T_GRID}::TestCarriedTail",)),
     Mutant("vn-result-drops-the-tail", GRID,
            "GridFunction(grid, 1.0 - vals, 1.0 - tau, range_bounds=True)",
@@ -109,7 +114,7 @@ MUTANTS = [
     # the chain step and the scan
     Mutant("left-endpoint-trapezoid", GRID,
            "    b[1:] += phi[1:]\n", "    b[1:] *= 2.0\n",
-           ("tests/test_checks.py::test_check_passes[quadrature_order]",)),
+           (f"{T_CHECKS}::test_check_passes[quadrature_order]",)),
     Mutant("cube-for-square", GRID,
            "gg = g * g  #", "gg = g * g * g  #",
            (f"{T_GRID}::TestIterateQn",)),
@@ -123,17 +128,14 @@ MUTANTS = [
            "            q += source\n", "            q += 2.0 * source\n",
            (f"{T_GRID}::TestPicard",)),
     Mutant("picard-returns-q", GRID,
-           "picard_source=True,\n    ))\n    return GridFunction(grid, 1.0 - vals,",
-           "picard_source=True,\n    ))\n    return GridFunction(grid, vals,",
+           "picard_source=True\n    ))\n    return GridFunction(grid, 1.0 - vals,",
+           "picard_source=True\n    ))\n    return GridFunction(grid, vals,",
            (f"{T_GRID}::TestPicard",)),
     Mutant("vn-seeds-with-v0", GRID,
            "v0.complement(), eps_tail", "v0, eps_tail",
            (f"{T_GRID}::TestIterateVn",)),
-    Mutant("collect-range-unchecked", GRID,
-           "if not 1 <= j <= n)", "if False)",
-           (f"{T_GRID}::TestIterateQn",)),
     Mutant("resume-skips-a-level", GRID,
-           "kept, tau, j + 1, n,", "kept, tau, j + 2, n,",
+           "kept, tau, j + 1, n)", "kept, tau, j + 2, n)",
            (f"{T_GRID}::TestIterateQnLevels",)),
     Mutant("negative-evaluation-accepted", GRID,
            "if arr.size and float(np.min(arr)) < 0.0:", "if False:",
@@ -150,6 +152,13 @@ MUTANTS = [
            "    for d in range(depth + 1):\n        beyond",
            "    for d in range(depth):\n        beyond",
            ("tests/test_cascade_core.py::TestTailFlags",)),
+    Mutant("crossed-at-the-last-level-only", CORE,
+           "crossed |= sizes < entered", "crossed = sizes < entered",
+           (f"{T_CHECKS}::test_check_passes[path_extrema_monotonicity-19-500-0.8]",)),
+    Mutant("s-flag-ignores-survivors", CORE,
+           "return ~alive & (sizes == 0), crossed", "return ~alive, crossed",
+           ("tests/test_monte_carlo.py::TestPathTails"
+            "::test_s_tail_matches_the_finiteness_chain_from_zero",)),
     Mutant("every-column-at-the-top-horizons", CORE,
            "            if t == top:\n", "            if True:\n",
            ("tests/test_cascade_core.py::TestHorizons",)),
@@ -174,13 +183,16 @@ MUTANTS = [
     Mutant("worker-check-below-the-pool", "src/riccati_cascade/checks.py",
            "cfg = McConfig(seed=seed, samples=1200, workers=workers)\n        series",
            "cfg = McConfig(seed=seed, samples=200, workers=workers)\n        series",
-           ("tests/test_checks.py::test_worker_invariance_maps_the_histogram_through_the_pool",)),
+           (f"{T_CHECKS}::test_worker_invariance_maps_the_histogram_through_the_pool",)),
     Mutant("estimators-draw-constant-clocks", MC,
            "_CLOCKS = ClockSource.exponential()", "_CLOCKS = ClockSource.constant(1.0)",
            ("tests/test_monte_carlo.py::TestVCurve",)),
     Mutant("shared-trees", MC,
            "head + (j * samples, lo, hi)", "head + (0, lo, hi)",
            ("tests/test_monte_carlo.py::TestPathTails",)),
+    Mutant("empty-series-compared", MC,
+           "    if not mc.points:\n", "    if False:\n",
+           ("tests/test_monte_carlo.py::TestCompareSeries",)),
     Mutant("stderr-times-1.5", MC,
            "float(np.std(samples, ddof=1) / math.sqrt",
            "float(1.5 * np.std(samples, ddof=1) / math.sqrt",
