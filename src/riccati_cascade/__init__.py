@@ -7,7 +7,7 @@ routes (Monte Carlo vs deterministic quadrature) with seeded, worker-count
 independent reproducibility.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .cascade_core import (
     CascadeParams,

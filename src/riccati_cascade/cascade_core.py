@@ -211,13 +211,6 @@ def leaf_census(
     return vertices - alive, alive
 
 
-def _x0_values(x0, args: np.ndarray) -> np.ndarray:
-    vals = np.broadcast_to(np.asarray(x0(args), dtype=float), args.shape)
-    if vals.size and (np.min(vals) < 0.0 or np.max(vals) > 1.0):
-        raise ValueError("x0 returned a value outside [0, 1]")
-    return vals
-
-
 # horizons past the float range are inf, as in leaf_census; at alpha = 0 the
 # path-sum weight alpha**-d is inf from d = 1 on, where no vertex is left to draw
 @np.errstate(over="ignore", divide="ignore")
@@ -230,8 +223,8 @@ def sample_product_indicator(
     streams: list,
     frontier_cap: int = _DEFAULT_FRONTIER_CAP,
 ) -> np.ndarray:
-    """One draw of the depth-n product recursion seeded by x0 per stream,
-    read at every horizon of the 1-D array `ts`.
+    """One draw of the depth-n product recursion seeded by the grid
+    function x0 per stream, read at every horizon of the 1-D array `ts`.
 
     A vertex whose clock exceeds its horizon contributes the factor 1; a
     surviving vertex passes the rescaled remaining horizon to two children.
@@ -240,7 +233,9 @@ def sample_product_indicator(
     expectation equals the n-th deterministic iterate seeded by x0.  Row k
     holds the draws from the tree of `streams[k]`: the trees advance
     together but each consumes its own clocks, and its factors are
-    multiplied in vertex order.
+    multiplied in vertex order.  x0 must map into [0, 1], which is checked
+    before any clock is drawn.  When its tail value is 1, a horizon beyond
+    its grid gives the factor 1 exactly and is not evaluated.
 
     Each tree is walked once, at t_max = max(ts); a child's horizon grows
     with its parent's, so that walk visits every vertex alive at a smaller
@@ -255,6 +250,8 @@ def sample_product_indicator(
     top = float(ts.max())
     for t in (float(ts.min()), top):  # nan fails both
         _validate_horizon_depth(t, n, _MAX_COUNT_DEPTH)
+    if not (0.0 <= x0.tail_value <= 1.0 and 0.0 <= x0.values.min() and x0.values.max() <= 1.0):
+        raise ValueError("x0 takes values outside [0, 1]")
     alpha = np.float64(params.alpha)
     n_trees = len(streams)
     parents, width, sizes = np.full(n_trees, top), 1, np.ones(n_trees, dtype=np.int64)
@@ -268,24 +265,29 @@ def sample_product_indicator(
         width = 2
     # a leaf contributes the factor 1 (a horizon-0 vertex with budget left is
     # one: its clock exceeds 0 surely); the frontier at depth n goes through
-    # x0 (once per entry of parents), horizon 0 included; an empty product is 1
+    # x0 (once per entry of parents), horizon 0 included, except where x0 is
+    # surely 1: beyond its grid when its tail is 1; an empty product is 1
     out = np.ones((n_trees, ts.size))
     if parents.size:
-        grown = np.flatnonzero(sizes)
-        starts = (sizes.cumsum() - sizes)[grown] * width
+        reach = x0.grid.t_end if x0.tail_value == 1.0 else math.inf
         scale = alpha ** n
         for j, t in enumerate(ts.tolist()):
+            # the alive entries not beyond reach; a nan horizon is kept, so
+            # it shows in the product instead of reading as the factor 1
             if t == top:
-                factors = _x0_values(x0, parents)
+                horizons, kept = parents, ~(parents > reach)
             else:
-                factors = np.ones(parents.size)
-                alive = sums <= t
-                gap = t - sums[alive]
+                gap = t - sums
                 # a vertex at horizon 0 reads x0(0), also where alpha**n is inf
                 horizons = np.zeros_like(gap)
                 np.multiply(gap, scale, out=horizons, where=gap > 0.0)
-                factors[alive] = _x0_values(x0, horizons)
-            out[grown, j] = np.multiply.reduceat(factors.repeat(width), starts)
+                kept = (sums <= t) & ~(horizons > reach)
+            horizons, counts = _keep(horizons, kept, sizes)
+            if horizons.size:
+                factors = np.interp(horizons, x0.grid.nodes, x0.values, right=x0.tail_value)
+                grown = np.flatnonzero(counts)
+                starts = (counts.cumsum() - counts)[grown] * width
+                out[grown, j] = np.multiply.reduceat(factors.repeat(width), starts)
     return out
 
 

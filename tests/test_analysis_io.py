@@ -1,5 +1,7 @@
 """Serialization round-trips and canonical manifests."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from riccati_cascade import (
     EstimateSeries,
+    GridFunction,
     Histogram,
     McConfig,
     UniformGrid,
@@ -93,6 +96,24 @@ class TestGridFunctionCsv:
         path = write_grid_function(v0, tmp_path / "v0.csv")
         meta = json.loads(path.with_name("v0.csv.meta.json").read_text())
         assert set(meta) == {"t_max", "step", "tail_value", "range_bounds"}
+
+    def test_bytes_match_the_csv_writer_rows(self, tmp_path):
+        # 8,193 rows cross two block boundaries; the values take -0.0,
+        # subnormals, +-1e300 and 17-digit fractions
+        grid = UniformGrid(8192.0 * 0.37, 0.37)
+        rng = np.random.default_rng(3)
+        values = rng.uniform(-1.0, 1.0, grid.node_count)
+        values[:6] = [-0.0, 0.0, 5e-324, -2.2e-310, 1e300, -1e300]
+        values[4095:4098] = [1e-300, -0.0, 1.0]
+        f = GridFunction(grid, values, 0.5)
+        path = write_grid_function(f, tmp_path / "f.csv")
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["t", "value"])
+        for t, v in zip(grid.nodes, values):
+            writer.writerow([format(float(t), ".17g"), format(float(v), ".17g")])
+        assert path.read_bytes() == want.getvalue().encode()
+        assert np.array_equal(read_grid_function(path).values, values)
 
 
 class TestManifest:

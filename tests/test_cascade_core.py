@@ -1,5 +1,6 @@
 """Sampler contracts: determinism, hand-computable oracles, coupled monotonicity."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,12 +11,15 @@ from hypothesis import strategies as st
 from riccati_cascade import (
     CascadeParams,
     ClockSource,
+    GridFunction,
     McConfig,
     SamplerCapError,
+    UniformGrid,
     crossing_horizon_cut,
     derive_stream,
     estimate_path_tails,
     leaf_census,
+    picard_v0,
     sample_product_indicator,
     sample_tail_flags,
 )
@@ -30,6 +34,17 @@ from riccati_cascade.checks import _required_count
 from riccati_cascade.monte_carlo import _batch_size, _census_rows
 
 EXP = ClockSource.exponential()
+
+SEED_GRID = UniformGrid(8.0, 0.01)
+_DECAY = 0.9 * np.exp(-SEED_GRID.nodes / 3.0)
+# a seed with tail 1, whose factors beyond its grid the sampler drops, and
+# one with a tail below 1, whose factors it all reads
+SEEDS = (GridFunction(SEED_GRID, 1.0 - _DECAY, 1.0),
+         GridFunction(SEED_GRID, _DECAY, float(_DECAY[-1])))
+
+
+def constant_seed(c, range_bounds=True):
+    return GridFunction.constant(SEED_GRID, c, range_bounds)
 
 
 def params(alpha, seed=12345):
@@ -363,7 +378,7 @@ class TestLeafCount:
         leaves, alive = leaf_census(p, 1e308, 10, EXP, _streams(p, 0, 3))
         assert not leaves.any()
         assert np.array_equal(alive, np.tile(2 ** np.arange(11), (3, 1)))
-        x = sample_product_indicator(p, [1e308], 10, np.ones_like, EXP, _streams(p, 0, 3))
+        x = sample_product_indicator(p, [1e308], 10, constant_seed(1.0), EXP, _streams(p, 0, 3))
         assert x.tolist() == [[1.0]] * 3
         for alpha in (1.0, 1.5):
             flags = sample_tail_flags(params(alpha), 1e308, 10, EXP, _streams(p, 0, 3))
@@ -404,20 +419,20 @@ class TestProductIndicator:
     def test_zero_horizon_is_one(self):
         p = params(1.5, seed=23)
         for n in (1, 3, 10):
-            x = sample_product_indicator(p, [0.0], n, lambda a: np.zeros_like(a), EXP, [derive_stream(p, 0)])
+            x = sample_product_indicator(p, [0.0], n, constant_seed(0.0), EXP, [derive_stream(p, 0)])
             assert x.tolist() == [[1.0]]
 
     def test_constant_one_seed_absorbs(self):
         p = params(1.5, seed=23)
         for t in (0.0, 1.0, 4.0):
-            x = sample_product_indicator(p, [t], 8, lambda a: np.ones_like(a), EXP, [derive_stream(p, 1)])
+            x = sample_product_indicator(p, [t], 8, constant_seed(1.0), EXP, [derive_stream(p, 1)])
             assert x.tolist() == [[1.0]]
 
     def test_zero_seed_one_step_mean(self):
         # with a zero seed, X_1(t) is the indicator of the root crossing
         p = params(1.5, seed=29)
         n = 10_000
-        [vals] = sample_product_indicator(p, [2.0], 1, lambda a: np.zeros_like(a), EXP,
+        [vals] = sample_product_indicator(p, [2.0], 1, constant_seed(0.0), EXP,
                                           _streams(p, 0, n)).T
         assert set(np.unique(vals)) <= {0.0, 1.0}
         p1 = math.exp(-2.0)
@@ -426,44 +441,67 @@ class TestProductIndicator:
 
     def test_n_zero_evaluates_seed(self):
         p = params(1.5, seed=23)
-        x = sample_product_indicator(p, [3.0], 0, lambda a: np.full_like(a, 0.25), EXP, [derive_stream(p, 0)])
+        x = sample_product_indicator(p, [3.0], 0, constant_seed(0.25), EXP, [derive_stream(p, 0)])
         assert x.tolist() == [[0.25]]
 
     def test_out_of_range_seed_rejected(self):
         p = params(1.5, seed=23)
         with pytest.raises(ValueError):
-            sample_product_indicator(p, [1.0], 0, lambda a: np.full_like(a, 1.5), EXP, [derive_stream(p, 0)])
+            sample_product_indicator(p, [1.0], 0, constant_seed(1.5, False), EXP, [derive_stream(p, 0)])
         with pytest.raises(ValueError):
-            sample_product_indicator(p, [8.0], 2, lambda a: np.full_like(a, -0.1), EXP, [derive_stream(p, 1)])
+            sample_product_indicator(p, [8.0], 2, constant_seed(-0.1, False), EXP, [derive_stream(p, 1)])
+
+    def test_out_of_range_seed_rejected_before_any_clock(self):
+        # values or tail outside [0, 1], each where the walk would draw clocks
+        p = params(1.5, seed=23)
+        inside = 0.5 * np.ones(SEED_GRID.node_count)
+        for values, tail in ((inside, 1.5), (inside, -0.1), (inside + 0.6, 1.0),
+                             (inside - 0.6, 0.0)):
+            x0 = GridFunction(SEED_GRID, values, tail)
+            streams = _streams(p, 0, 3)
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                sample_product_indicator(p, [0.5, 4.0], 6, x0, EXP, streams)
+            assert _next_draws(streams) == _next_draws(_streams(p, 0, 3)), tail
+
+    def test_a_horizon_at_the_grid_end_reads_the_last_node(self):
+        # alpha = 1 and a unit clock put the root's children at horizon
+        # t - 1 = 8.0, the last node: read in the top column and in a lower one
+        p = params(1.0)
+        x0 = SEEDS[0]
+        want = float(x0.values[-1]) ** 2
+        for ts in ([9.0], [9.0, 9.5]):
+            got = sample_product_indicator(p, ts, 1, x0, ClockSource.constant(1.0),
+                                           [derive_stream(p, 0)])
+            assert got[0, 0] == want, ts
 
 
 class TestHorizons:
-    """One walk at the largest horizon, read at every horizon."""
-
-    X0 = staticmethod(lambda h: 0.9 * np.exp(-h / 3.0))
+    """One walk at the largest horizon, read at every horizon, with a seed of
+    tail 1 and one of tail below 1."""
 
     @pytest.mark.parametrize("alpha", [0.0, 0.66, 1.5, 3.0])
     def test_columns_match_the_recursion_on_the_recorded_tree(self, alpha):
         # unsorted, with t = 0 and a repeated point
         ts = [0.0, 0.3, 1.0, 2.5, 6.0, 4.0, 2.5]
         p = params(alpha, seed=97)
-        for n in (0, 1, 3, 6, 8):
+        for x0, n in itertools.product(SEEDS, (0, 1, 3, 6, 8)):
             streams = _streams(p, 0, 24)
-            got = sample_product_indicator(p, ts, n, self.X0, EXP, streams)
+            got = sample_product_indicator(p, ts, n, x0, EXP, streams)
             assert got.shape == (24, len(ts))
             for i, row in enumerate(got):
                 stream = derive_stream(p, i)
                 clock_of = _recorded_clocks(p, max(ts), n, EXP, stream)
                 assert _next_draws([stream]) == _next_draws([streams[i]]), (n, i)
-                want = [_product_at(p, t, n, self.X0, clock_of) for t in ts]
-                assert np.max(np.abs(row - want)) <= 1e-12, (n, i)
+                want = [_product_at(p, t, n, x0, clock_of) for t in ts]
+                assert np.max(np.abs(row - want)) <= 1e-12, (x0.tail_value, n, i)
 
     @pytest.mark.parametrize("alpha", [0.66, 1.5, 3.0])
     def test_column_at_the_largest_horizon_is_the_one_horizon_draw(self, alpha):
         p = params(alpha, seed=61)
-        got = sample_product_indicator(p, [1.0, 5.0, 2.0], 6, self.X0, EXP, _streams(p, 0, 40))
-        alone = sample_product_indicator(p, [5.0], 6, self.X0, EXP, _streams(p, 0, 40))
-        assert got[:, 1].tolist() == alone[:, 0].tolist()
+        for x0 in SEEDS:
+            got = sample_product_indicator(p, [1.0, 5.0, 2.0], 6, x0, EXP, _streams(p, 0, 40))
+            alone = sample_product_indicator(p, [5.0], 6, x0, EXP, _streams(p, 0, 40))
+            assert got[:, 1].tolist() == alone[:, 0].tolist(), x0.tail_value
 
     @pytest.mark.parametrize("alpha", [0.0, 1.5, 1e20])
     def test_each_column_is_the_one_horizon_draw_under_unit_clocks(self, alpha):
@@ -473,23 +511,20 @@ class TestHorizons:
         p = params(alpha)
         ts = [0.0, 1.0, 2.0, 3.0, 2.5]
         clocks = ClockSource.constant(1.0)
-        for n in (1, 2, 4):
-            got = sample_product_indicator(p, ts, n, self.X0, clocks, [derive_stream(p, 0)])
-            alone = [sample_product_indicator(p, [t], n, self.X0, clocks, [derive_stream(p, 0)])
+        for x0, n in itertools.product(SEEDS, (1, 2, 4)):
+            got = sample_product_indicator(p, ts, n, x0, clocks, [derive_stream(p, 0)])
+            alone = [sample_product_indicator(p, [t], n, x0, clocks, [derive_stream(p, 0)])
                      for t in ts]
-            assert np.max(np.abs(got[0] - np.concatenate(alone)[:, 0])) <= 1e-12, n
+            assert np.max(np.abs(got[0] - np.concatenate(alone)[:, 0])) <= 1e-12, (x0.tail_value, n)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.5, 1e308])
     def test_a_horizon_past_the_float_range_sends_no_nan_to_x0(self, alpha):
         # alpha**n (t - S) is inf * 0 for a depth-n vertex at horizon 0 when
         # alpha**n overflows; with unit clocks and alpha = 1e308 the depth-2
-        # vertices have S = 1 + 1 ulp, the second t below
-        def x0(h):
-            assert not np.isnan(h).any()
-            return np.exp(-np.minimum(h, 50.0))
-
+        # vertices have S = 1 + 1 ulp, the second t below; a nan sent to x0
+        # is kept under either seed, so it would show in the product
         p = params(alpha)
-        for clocks in (EXP, ClockSource.constant(1.0)):
+        for x0, clocks in itertools.product(SEEDS, (EXP, ClockSource.constant(1.0))):
             for t in (1.0, np.nextafter(1.0, 2.0)):
                 for n in (2, 8):
                     got = sample_product_indicator(p, [t, 1e308], n, x0, clocks, _streams(p, 0, 16))
@@ -500,7 +535,7 @@ class TestHorizons:
         p = params(1.5)
         for ts in ([], [[1.0, 2.0]], 1.0, [1.0, -0.5], [1.0, math.nan], [math.inf]):
             with pytest.raises(ValueError):
-                sample_product_indicator(p, ts, 3, self.X0, EXP, [derive_stream(p, 0)])
+                sample_product_indicator(p, ts, 3, SEEDS[0], EXP, [derive_stream(p, 0)])
 
 
 class TestTailFlags:
@@ -693,8 +728,6 @@ class TestTailFlags:
 class TestBatchCore:
     """Sub-batches of trees against the per-tree samplers, tree by tree."""
 
-    X0 = staticmethod(lambda h: 0.9 * np.exp(-h / 3.0))
-
     @pytest.mark.parametrize("alpha", [0.0, 0.66, 1.5, 3.0])
     @pytest.mark.parametrize("clocks", [EXP, ClockSource.constant(0.7)], ids=["exp", "const"])
     def test_batches_match_per_tree_samplers(self, alpha, clocks):
@@ -718,13 +751,16 @@ class TestBatchCore:
                     assert np.array_equal(alive, want_alive)
                     assert _next_draws(got_streams) == _next_draws(want_streams)
 
-                    [got] = sample_product_indicator(p, [t], n, self.X0, clocks, got_streams).T
-                    want = [
-                        _reference_sample_product_indicator(p, t, n, self.X0, clocks, s)
-                        for s in want_streams
-                    ]
-                    assert got.tolist() == want, (t, n, size)
-                    assert _next_draws(got_streams) == _next_draws(want_streams)
+                    for x0 in SEEDS:
+                        got_streams = [derive_stream(p, i) for i in ids]
+                        want_streams = [derive_stream(p, i) for i in ids]
+                        [got] = sample_product_indicator(p, [t], n, x0, clocks, got_streams).T
+                        want = [
+                            _reference_sample_product_indicator(p, t, n, x0, clocks, s)
+                            for s in want_streams
+                        ]
+                        assert got.tolist() == want, (x0.tail_value, t, n, size)
+                        assert _next_draws(got_streams) == _next_draws(want_streams)
 
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("clocks", [EXP, ClockSource.constant(0.7)], ids=["exp", "const"])
@@ -756,6 +792,7 @@ class TestBatchCore:
         size = _batch_size(10)
         assert size == 32
         p = params(1.5, seed=101)
+        v0 = picard_v0(1.5, UniformGrid(8.0, 0.01), 5)
         for first in (0, size):
             ids = range(first, first + size)
             got_streams = [derive_stream(p, i) for i in ids]
@@ -767,8 +804,8 @@ class TestBatchCore:
             assert np.array_equal(alive, want_alive)
             assert _next_draws(got_streams) == _next_draws(want_streams)
 
-            [got] = sample_product_indicator(p, [t], 10, self.X0, EXP, got_streams).T
-            want = [_reference_sample_product_indicator(p, t, 10, self.X0, EXP, s)
+            [got] = sample_product_indicator(p, [t], 10, v0, EXP, got_streams).T
+            want = [_reference_sample_product_indicator(p, t, 10, v0, EXP, s)
                     for s in want_streams]
             assert got.tolist() == want
             assert _next_draws(got_streams) == _next_draws(want_streams)
@@ -798,4 +835,4 @@ class TestBatchCore:
         with pytest.raises(SamplerCapError, match="frontier"):
             leaf_census(p, t, depth, EXP, [derive_stream(p, i) for i in mixed], cap)
         with pytest.raises(SamplerCapError, match="frontier"):
-            sample_product_indicator(p, [t], depth, self.X0, EXP, [derive_stream(p, i) for i in mixed], cap)
+            sample_product_indicator(p, [t], depth, SEEDS[0], EXP, [derive_stream(p, i) for i in mixed], cap)

@@ -163,7 +163,7 @@ MUTANTS = [
            "            if t == top:\n", "            if True:\n",
            ("tests/test_cascade_core.py::TestHorizons",)),
     Mutant("mask-on-the-horizon", CORE,
-           "alive = sums <= t", "alive = parents >= scale * (top - t)",
+           "kept = (sums <= t) &", "kept = (parents >= scale * (top - t)) &",
            ("tests/test_cascade_core.py::TestHorizons",)),
     Mutant("path-sums-unweighted", CORE,
            "sums, alpha ** -d)", "sums, 1.0)",
@@ -176,6 +176,18 @@ MUTANTS = [
            "np.multiply(gap, scale, out=horizons, where=gap > 0.0)",
            "np.multiply(gap, scale, out=horizons)",
            ("tests/test_cascade_core.py::TestHorizons",)),
+    Mutant("drop-rule-whatever-the-tail", CORE,
+           "reach = x0.grid.t_end if x0.tail_value == 1.0 else math.inf",
+           "reach = x0.grid.t_end",
+           ("tests/test_cascade_core.py::TestBatchCore::test_batches_match_per_tree_samplers",)),
+    Mutant("grid-end-dropped", CORE,
+           "& ~(horizons > reach)", "& (horizons < reach)",
+           ("tests/test_cascade_core.py::TestProductIndicator"
+            "::test_a_horizon_at_the_grid_end_reads_the_last_node",)),
+    Mutant("range-check-skipped", CORE,
+           "if not (0.0 <= x0.tail_value", "if False and not (0.0 <= x0.tail_value",
+           ("tests/test_cascade_core.py::TestProductIndicator"
+            "::test_out_of_range_seed_rejected_before_any_clock",)),
     Mutant("vcurve-columns-shuffled", MC,
            "draws[:, j]), cfg.samples) for j, t in enumerate(t_list)",
            "draws[:, -1 - j]), cfg.samples) for j, t in enumerate(t_list)",
@@ -200,6 +212,11 @@ MUTANTS = [
     Mutant("pool-not-bounded-by-cores", MC,
            "min(workers, len(tasks), os.cpu_count() or 1)", "min(workers, len(tasks))",
            ("tests/test_monte_carlo.py::TestReproducibility",)),
+    # serialization
+    Mutant("grid-csv-last-row-lost", "src/riccati_cascade/analysis_io.py",
+           "range(0, f.grid.node_count, _ROWS_PER_WRITE)",
+           "range(0, f.grid.node_count - 1, _ROWS_PER_WRITE)",
+           ("tests/test_analysis_io.py::TestGridFunctionCsv",)),
 ]
 
 
