@@ -36,6 +36,7 @@ __all__ = [
 _MAX_COUNT_DEPTH = 62  # leaf counts live in int64; 2**depth must fit
 _DEFAULT_FRONTIER_CAP = 1 << 24
 _SURVIVAL_MASS = 70.0  # certifies a survivor up to probability exp(-70), as the cut does
+_TAIL_VERTEX_BUDGET = 1 << 13  # frontier vertices above which a tail-walk batch splits
 
 
 class SamplerCapError(RuntimeError):
@@ -358,31 +359,50 @@ def sample_tail_flags(
     subtrees) reaches 70.  A tree with both flags draws no further clocks.
     Returns two boolean arrays, (s_exceeds, l_exceeds).  Both flags of a
     tree come from the same walk, so {min > t} implies {max > t} tree by
-    tree.
+    tree.  A batch whose frontier entering a level exceeds
+    _TAIL_VERTEX_BUDGET vertices finishes in two halves by tree, so memory
+    stays bounded by the budget or by one tree's frontier.
     """
     _validate_horizon_depth(t, depth, 2**31)
+    alpha = params.alpha
+    cut = crossing_horizon_cut(alpha) if alpha > 1.0 else math.inf
+
+    def walk(first, streams, parents, sizes, crossed, alive):
+        # levels first..depth from the horizons `parents` (tree k owns the
+        # next sizes[k]) and the flags so far; every rule is per tree, so
+        # halves of a batch that resume at the level of the split give every
+        # flag and stream position of the whole batch
+        for d in range(first, depth + 1):
+            width = 2 if d else 1
+            beyond = parents > cut
+            if beyond.any():
+                alive |= _keep(parents, beyond, sizes)[1] > 0
+                parents, sizes = _keep(parents, ~beyond, sizes)
+            if clocks.mode == "exponential":
+                # only a tree with 70 vertices can reach the mass 70 (each adds <= 1)
+                candidates = ~alive & (width * sizes >= _SURVIVAL_MASS)
+                if candidates.any():
+                    mass = _survival_mass(parents[candidates.repeat(sizes)], width,
+                                          sizes[candidates], depth - d + 1, alpha)
+                    alive[candidates] = mass >= _SURVIVAL_MASS
+            done = crossed & alive
+            if sizes[done].any():
+                parents, sizes = _keep(parents, ~done.repeat(sizes), sizes)
+            if parents.size == 0:
+                break
+            if width * parents.size > _TAIL_VERTEX_BUDGET and len(sizes) > 1:
+                h = len(sizes) // 2
+                split = int(sizes[:h].sum())
+                halves = (walk(d, streams[:h], parents[:split], sizes[:h], crossed[:h], alive[:h]),
+                          walk(d, streams[h:], parents[split:], sizes[h:], crossed[h:], alive[h:]))
+                return tuple(np.concatenate(flags) for flags in zip(*halves))
+            entered = width * sizes
+            parents, sizes, _ = _level(parents, width, sizes, alpha, clocks, streams)
+            crossed |= sizes < entered
+            if d < depth:
+                _check_frontier(parents.size, sizes, frontier_cap, d + 1)
+        return ~alive & (sizes == 0), crossed  # sizes counts the survivors at `depth`, if any
+
     n_trees = len(streams)
-    cut = crossing_horizon_cut(params.alpha) if params.alpha > 1.0 else math.inf
-    crossed = np.zeros(n_trees, dtype=bool)
-    alive = np.zeros(n_trees, dtype=bool)
-    parents, width, sizes = np.full(n_trees, float(t)), 1, np.ones(n_trees, dtype=np.int64)
-    for d in range(depth + 1):
-        beyond = parents > cut
-        if beyond.any():
-            alive |= _keep(parents, beyond, sizes)[1] > 0
-            parents, sizes = _keep(parents, ~beyond, sizes)
-        if clocks.mode == "exponential" and (width * sizes[~alive]).max(initial=0) >= _SURVIVAL_MASS:
-            mass = _survival_mass(parents, width, sizes, depth - d + 1, params.alpha)
-            alive |= mass >= _SURVIVAL_MASS
-        done = crossed & alive
-        if sizes[done].any():
-            parents, sizes = _keep(parents, ~done.repeat(sizes), sizes)
-        if parents.size == 0:
-            break
-        entered = width * sizes
-        parents, sizes, _ = _level(parents, width, sizes, params.alpha, clocks, streams)
-        crossed |= sizes < entered
-        if d < depth:
-            _check_frontier(parents.size, sizes, frontier_cap, d + 1)
-        width = 2
-    return ~alive & (sizes == 0), crossed  # sizes counts the survivors at `depth`, if any
+    return walk(0, streams, np.full(n_trees, float(t)), np.ones(n_trees, dtype=np.int64),
+                np.zeros(n_trees, dtype=bool), np.zeros(n_trees, dtype=bool))

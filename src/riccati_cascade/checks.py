@@ -225,16 +225,21 @@ def check_q_dominated_by_seed(alpha: float, levels: int = 6) -> CheckResult:
     and 2q - q^2 increases in q."""
     grid = UniformGrid(8.0, 0.01)
     tau = 0.3
-    worst, tails = -math.inf, True
-    for _, q in iterate_qn_levels(alpha, grid, GridFunction.constant(grid, tau),
+    worst = excess = -math.inf
+    where, tails = (0, 0.0), True
+    for j, q in iterate_qn_levels(alpha, grid, GridFunction.constant(grid, tau),
                                   range(1, levels + 1)):
         tau = 2.0 * tau - tau * tau
-        worst = max(worst, float(np.max(q.values)) - tau)
+        node = int(np.argmax(q.values))
+        excess = float(q.values[node]) - tau
+        if excess > worst:
+            worst, where = excess, (j, float(grid.nodes[node]))
         tails = tails and q.tail_value == tau
     return CheckResult(
         "q_dominated_by_seed",
         worst <= 1e-12 and tails,
-        f"max excess over tau_j across n=1..{levels}: {worst:.2e}; "
+        f"max excess over tau_j across n=1..{levels}: {worst:.2e} at n={where[0]}, "
+        f"t={where[1]:g}; at n={levels}: {excess:.2e}; "
         f"every tail is tau_j: {tails} (seed q0=0.3)",
     )
 

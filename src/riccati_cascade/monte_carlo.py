@@ -47,7 +47,6 @@ __all__ = [
 
 _CHUNK = 1000
 _BATCH_VERTICES = 1 << 15
-_TAIL_BATCH = 32  # trees per sub-batch of the tail-flag walk, whose frontiers stay small
 # generators that finished sub-batches hand on for re-keying (see _sub_batches)
 _SPARE_GENERATORS: list[np.random.Generator] = []
 # the estimators' clocks; ClockSource.constant is the samplers' test hook only
@@ -305,11 +304,10 @@ def estimate_leaf_histogram(
 def _tail_chunk(task) -> tuple[np.ndarray, np.ndarray]:
     alpha, seed, t, depth, base_index, lo, hi = task
     params = CascadeParams(alpha, seed)
-    s_flags, l_flags = zip(*[
-        sample_tail_flags(params, t, depth, _CLOCKS, streams)
-        for streams in _sub_batches(params, base_index + lo, base_index + hi, _TAIL_BATCH)
-    ])
-    return np.concatenate(s_flags).astype(float), np.concatenate(l_flags).astype(float)
+    # the chunk is one batch, which the walk splits where its frontier grows
+    for streams in _sub_batches(params, base_index + lo, base_index + hi, hi - lo):
+        s_flags, l_flags = sample_tail_flags(params, t, depth, _CLOCKS, streams)
+    return s_flags.astype(float), l_flags.astype(float)
 
 
 def estimate_path_tails(
@@ -363,11 +361,16 @@ def compare_series(
     z_threshold: float = 4.0,
     min_fraction: float = 0.95,
 ) -> ComparisonReport:
-    """z = (mean - reference) / stderr per point; stderr-0 points must match exactly.
+    """z = (mean - reference) / stderr per point.
 
-    Points beyond the reference grid evaluate through its tail policy and
-    are flagged.  The report passes when at least `min_fraction` of the
-    points satisfy |z| <= z_threshold.  An empty series is rejected.
+    A point whose draws all sit at 0 or all at 1 has stderr 0 by chance
+    when the reference p lies strictly between 0 and 1 (a [0, 1] draw of
+    mean p is 1 with probability at most p); it scores
+    (mean - p) / sqrt(p (1 - p) / n) instead.  Any other stderr-0 point
+    must match exactly.  Points beyond the reference grid evaluate through
+    its tail policy and are flagged.  The report passes when at least
+    `min_fraction` of the points satisfy |z| <= z_threshold.  An empty
+    series is rejected.
     """
     if not mc.points:
         raise ValueError("compare_series needs a Monte Carlo series with points; mc is empty")
@@ -376,10 +379,12 @@ def compare_series(
     for p in mc.points:
         ref = reference(p.t)
         tails.append(p.t > t_end)
-        if p.stderr == 0.0:
-            z = 0.0 if p.mean == ref else math.inf
-        else:
+        if p.stderr != 0.0:
             z = (p.mean - ref) / p.stderr
+        elif p.mean in (0.0, 1.0) and 0.0 < ref < 1.0:
+            z = (p.mean - ref) / math.sqrt(ref * (1.0 - ref) / p.n_samples)
+        else:
+            z = 0.0 if p.mean == ref else math.inf
         ts.append(p.t)
         zs.append(z)
     abs_z = np.abs(np.array(zs))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from riccati_cascade import (
     sample_product_indicator,
     sample_tail_flags,
 )
+from riccati_cascade import cascade_core
 from riccati_cascade.cascade_core import (
     _DEFAULT_FRONTIER_CAP,
     _MAX_COUNT_DEPTH,
@@ -723,6 +725,62 @@ class TestTailFlags:
         p = params(1.5, seed=71)
         with pytest.raises(SamplerCapError, match="frontier"):
             sample_tail_flags(p, 8.0, 30, EXP, [derive_stream(p, 0)], frontier_cap=3)
+
+
+def _split_walk(p, t, depth, clocks, streams, budget):
+    """The flags of one call on `streams` at the given budget, and the
+    (trees, frontier vertices) of every level it drew."""
+    calls = []
+
+    def level(parents, width, sizes, *args):
+        calls.append((len(sizes), width * parents.size))
+        return _level(parents, width, sizes, *args)
+
+    with mock.patch.object(cascade_core, "_TAIL_VERTEX_BUDGET", budget), \
+            mock.patch.object(cascade_core, "_level", level):
+        flags = sample_tail_flags(p, t, depth, clocks, streams)
+    return flags, calls
+
+
+class TestSplitWalk:
+    """A batch whose frontier passes the vertex budget finishes in halves."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        alpha=st.sampled_from([0.66, 1.0, 1.2, 1.5, 3.0]) | st.floats(0.5, 3.0),
+        t=st.sampled_from([0.0, 0.5, 2.0, 6.0]) | st.floats(0.0, 8.0),
+        depth=st.sampled_from([0, 3, 12, 30]) | st.integers(0, 30),
+        budget=st.sampled_from([1, 2, 64, 1 << 10]),
+        size=st.integers(1, 12),
+        first=st.integers(0, 10_000),
+        constant=st.booleans(),
+    )
+    def test_split_walk_matches_one_tree_walks(self, alpha, t, depth, budget, size, first,
+                                               constant):
+        # flags and stream positions equal those of each tree walked alone,
+        # and no level draws more than the budget unless it walks one tree
+        p = params(alpha, seed=101)
+        clocks = ClockSource.constant(0.7) if constant else EXP
+        got_streams, want_streams = _streams(p, first, size), _streams(p, first, size)
+        want = [_flags_of_one(p, t, depth, clocks, s) for s in want_streams]
+        (s_flags, l_flags), calls = _split_walk(p, t, depth, clocks, got_streams, budget)
+        assert list(zip(s_flags.tolist(), l_flags.tolist())) == want
+        assert _next_draws(got_streams) == _next_draws(want_streams)
+        assert all(vertices <= budget or trees == 1 for trees, vertices in calls), calls
+
+    def test_near_critical_chunk_stays_within_the_default_budget(self):
+        # 200 trees at alpha = 1.1 and t = 8 hold far more than the budget
+        # together; the walk splits, and each level stays within it
+        p = params(1.1, seed=89)
+        budget = cascade_core._TAIL_VERTEX_BUDGET
+        got_streams, want_streams = _streams(p, 0, 200), _streams(p, 0, 200)
+        (s_flags, l_flags), calls = _split_walk(p, 8.0, 30, EXP, got_streams, budget)
+        trees = [trees for trees, _ in calls]
+        assert max(trees) == 200 and min(trees) < 200
+        assert all(vertices <= budget or trees == 1 for trees, vertices in calls)
+        want = [_flags_of_one(p, 8.0, 30, EXP, s) for s in want_streams]
+        assert list(zip(s_flags.tolist(), l_flags.tolist())) == want
+        assert _next_draws(got_streams) == _next_draws(want_streams)
 
 
 class TestBatchCore:

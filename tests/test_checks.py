@@ -149,9 +149,20 @@ class TestCiCalibration:
         )
 
 
+def test_seed_domination_names_the_level_and_node_of_the_worst_excess():
+    # the worst excess is level 1's quadrature shortfall at the grid end at
+    # every alpha; the last level's excess is what moves with alpha
+    details = {a: checks.check_q_dominated_by_seed(a).detail for a in (0.66, 1.5, 3.0)}
+    for detail in details.values():
+        assert "n=1..6: -1.67e-04 at n=1, t=8; at n=6: " in detail
+    last = {a: float(d.split("at n=6: ")[1].split(";")[0]) for a, d in details.items()}
+    assert last[0.66] < last[1.5] < last[3.0] < -1.67e-04
+
+
 @pytest.mark.parametrize("offset", [0.0, 0.1])
 def test_product_check_scores_a_stderr_zero_point_by_exact_match(monkeypatch, offset):
-    # a point with stderr 0 passes only when it equals the iterate exactly
+    # a point with stderr 0 inside (0, 1) passes only when it equals the
+    # iterate exactly
     def exact_series(alpha, t_points, n, v0, cfg):
         vn = iterate_vn(alpha, v0.grid, n, v0)
         return EstimateSeries(tuple(EstimatePoint(t, vn(t) + offset, 0.0, cfg.samples)

@@ -9,6 +9,8 @@ import pytest
 from riccati_cascade import (
     CascadeParams,
     ClockSource,
+    EstimatePoint,
+    EstimateSeries,
     GridFunction,
     Histogram,
     McConfig,
@@ -338,6 +340,28 @@ class TestCompareSeries:
         assert empty.points == ()
         with pytest.raises(ValueError, match="series .*empty"):
             compare_series(empty, GridFunction.constant(GRID, 1.0))
+
+    def test_a_point_where_every_tree_crossed_scores_against_the_reference(self):
+        # at t = 1 all 2,000 trees cross, so the L point's stderr is 0 while
+        # the reference is 1 - 2.0e-9; the score with p from the reference
+        # gives 0.002 there, where demanding an exact match gives z = inf
+        # and fails the report with 8/9 points within bound
+        cfg = McConfig(seed=5, samples=2000)
+        _, l_series = estimate_path_tails(1.5, np.arange(0.0, 8.5, 1.0), 7, cfg)
+        reference = picard_v0(1.5, GRID, 8).complement()
+        point = l_series.points[1]
+        assert (point.t, point.mean, point.stderr) == (1.0, 1.0, 0.0)
+        assert 0.0 < 1.0 - reference(1.0) < 1e-8
+        report = compare_series(l_series, reference)
+        assert report.z_scores[1] == pytest.approx(0.002, abs=5e-4)
+        assert report.fraction_within == 1.0 and report.passed
+
+    def test_an_interior_stderr_zero_point_must_match_exactly(self):
+        # draws that all equal one value inside (0, 1) are no binomial count
+        ref = GridFunction.constant(GRID, 0.5)
+        for mean, z in ((0.5, 0.0), (0.6, math.inf)):
+            series = EstimateSeries((EstimatePoint(1.0, mean, 0.0, 100),))
+            assert compare_series(series, ref).z_scores == (z,)
 
     def test_tail_points_flagged(self):
         ones = GridFunction.constant(UniformGrid(2.0, 0.1), 1.0)

@@ -86,6 +86,9 @@ MUTANTS = [
     Mutant("tail-not-advanced", GRID,
            "        tau = 2.0 * tau - tau * tau\n", "",
            (f"{T_GRID}::TestCarriedTail",)),
+    Mutant("worst-excess-unplaced", "src/riccati_cascade/checks.py",
+           "worst, where = excess, (j, float(grid.nodes[node]))", "worst = excess",
+           (f"{T_CHECKS}::test_seed_domination_names_the_level_and_node_of_the_worst_excess",)),
     Mutant("tail-not-advanced-under-the-check", GRID,
            "        tau = 2.0 * tau - tau * tau\n", "",
            (f"{T_CHECKS}::test_check_passes[q_dominated_by_seed-0.66-8]",
@@ -149,9 +152,17 @@ MUTANTS = [
            "counter=[0, 0, idx, 0]", "counter=[0, 0, idx // 2, 0]",
            ("tests/test_cascade_core.py::TestDeriveStream",)),
     Mutant("tail-walk-one-level-short", CORE,
-           "    for d in range(depth + 1):\n        beyond",
-           "    for d in range(depth):\n        beyond",
+           "for d in range(first, depth + 1):", "for d in range(first, depth):",
            ("tests/test_cascade_core.py::TestTailFlags",)),
+    Mutant("split-hands-on-the-first-half-streams", CORE,
+           "walk(d, streams[h:],", "walk(d, streams[:len(streams) - h],",
+           ("tests/test_cascade_core.py::TestSplitWalk",)),
+    Mutant("split-at-the-wrong-entry", CORE,
+           "split = int(sizes[:h].sum())", "split = int(sizes[:h + 1].sum())",
+           ("tests/test_cascade_core.py::TestSplitWalk",)),
+    Mutant("split-never", CORE,
+           "if width * parents.size > _TAIL_VERTEX_BUDGET and len(sizes) > 1:", "if False:",
+           ("tests/test_cascade_core.py::TestSplitWalk",)),
     Mutant("crossed-at-the-last-level-only", CORE,
            "crossed |= sizes < entered", "crossed = sizes < entered",
            (f"{T_CHECKS}::test_check_passes[path_extrema_monotonicity-19-500-0.8]",)),
@@ -202,6 +213,12 @@ MUTANTS = [
     Mutant("shared-trees", MC,
            "head + (j * samples, lo, hi)", "head + (0, lo, hi)",
            ("tests/test_monte_carlo.py::TestPathTails",)),
+    Mutant("all-crossed-point-scores-inf", MC,
+           "elif p.mean in (0.0, 1.0) and 0.0 < ref < 1.0:", "elif False:",
+           ("tests/test_monte_carlo.py::TestCompareSeries",)),
+    Mutant("interior-stderr-0-point-scored", MC,
+           "elif p.mean in (0.0, 1.0) and 0.0 < ref < 1.0:", "elif 0.0 < ref < 1.0:",
+           ("tests/test_monte_carlo.py::TestCompareSeries",)),
     Mutant("empty-series-compared", MC,
            "    if not mc.points:\n", "    if False:\n",
            ("tests/test_monte_carlo.py::TestCompareSeries",)),
