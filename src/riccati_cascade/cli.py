@@ -44,6 +44,7 @@ from .grid_numerics import (
 )
 from .monte_carlo import (
     McConfig,
+    _map_chunks,
     estimate_leaf_histogram,
     estimate_path_tails,
     estimate_v_curve,
@@ -200,11 +201,12 @@ def _write_grid(f: GridFunction, path: Path) -> list[Path]:
     return [path, _sidecar_path(path)]
 
 
-def _explosion_seed(args, alpha: float, grid: UniformGrid) -> GridFunction:
+def _explosion_seed(alpha: float, grid: UniformGrid, picard_k: int,
+                    eps_tail: float) -> GridFunction:
     """q0 for the explosion chain: 1 for alpha <= 1, else the Picard complement."""
     if alpha <= 1.0:
         return GridFunction.constant(grid, 1.0)
-    return picard_v0(alpha, grid, args.picard_k, args.eps_tail).complement()
+    return picard_v0(alpha, grid, picard_k, eps_tail).complement()
 
 
 def _cmd_hist(args, seed: int, out: Path) -> tuple[list[Path], int]:
@@ -249,7 +251,7 @@ def _cmd_v0(args, seed: int, out: Path) -> tuple[list[Path], int]:
 
 def _cmd_qn(args, seed: int, out: Path) -> tuple[list[Path], int]:
     grid = _base_grid(args)
-    q0 = _explosion_seed(args, args.alpha, grid)
+    q0 = _explosion_seed(args.alpha, grid, args.picard_k, args.eps_tail)
     qn = iterate_qn(args.alpha, grid, args.depth, q0, args.eps_tail)
     files = _write_grid(qn, out / "qn.csv")
     probe_ts = [v for v in (2.0, 4.0, args.t_max) if v <= grid.t_end]
@@ -330,6 +332,27 @@ def _cmd_figures(args, seed: int, out: Path) -> tuple[list[Path], int]:
     return files, 0
 
 
+def _sweep_row(task: tuple) -> tuple:
+    """The sweep.csv row of one branching scale: its explosion chain from the
+    seed of `qn`, every fifth level until two in a row differ by less than
+    gap_tol in sup norm or the levels run out."""
+    grid, levels, picard_k, eps_tail, gap_tol, t, alpha = task
+    q0 = _explosion_seed(alpha, grid, picard_k, eps_tail)
+    prev = None
+    sup_gap = float("inf")
+    # breaking out drops the chain, so later levels are never computed
+    for n_used, q_cur in iterate_qn_levels(alpha, grid, q0, levels, eps_tail):
+        if prev is not None:
+            sup_gap = float(np.max(np.abs(q_cur.values - prev.values)))
+            if sup_gap < gap_tol:
+                break
+        prev = q_cur
+    converged = sup_gap < gap_tol
+    boundary = abs(alpha - 1.0) <= 0.05 or abs(alpha - 2.0) <= 0.05
+    note = "slow-convergence" if (boundary or not converged) else ""
+    return alpha, t, q_cur(t), sup_gap, n_used, converged, note
+
+
 def _cmd_sweep(args, seed: int, out: Path) -> tuple[list[Path], int]:
     try:
         alphas = [float(a) for a in args.alpha_list.split(",") if a.strip()]
@@ -348,25 +371,12 @@ def _cmd_sweep(args, seed: int, out: Path) -> tuple[list[Path], int]:
         raise ValueError(f"--gap-tol must be finite and > 0, got {args.gap_tol}")
     grid = _base_grid(args)
     levels = range(5, args.max_n + 1, 5)
-    rows = []
-    for alpha in alphas:
-        q0 = _explosion_seed(args, alpha, grid)
-        prev = None
-        sup_gap = float("inf")
-        # breaking out drops the chain, so later levels are never computed
-        for n_used, q_cur in iterate_qn_levels(alpha, grid, q0, levels, args.eps_tail):
-            if prev is not None:
-                sup_gap = float(np.max(np.abs(q_cur.values - prev.values)))
-                if sup_gap < args.gap_tol:
-                    break
-            prev = q_cur
-        converged = sup_gap < args.gap_tol
-        boundary = abs(alpha - 1.0) <= 0.05 or abs(alpha - 2.0) <= 0.05
-        note = "slow-convergence" if (boundary or not converged) else ""
-        q_at_t = q_cur(args.t)
-        rows.append((alpha, args.t, q_at_t, sup_gap, n_used, converged, note))
+    head = (grid, levels, args.picard_k, args.eps_tail, args.gap_tol, args.t)
+    # one scale per task, at most one process per scale and core, rows in input order
+    rows = _map_chunks(_sweep_row, [(*head, alpha) for alpha in alphas], len(alphas))
+    for alpha, t, q_at_t, sup_gap, n_used, _, note in rows:
         print(
-            f"alpha={alpha:g}: q({args.t:g}) = {q_at_t:.6g} "
+            f"alpha={alpha:g}: q({t:g}) = {q_at_t:.6g} "
             f"(sup gap {sup_gap:.2e} after n={n_used}{', ' + note if note else ''})"
         )
     sweep_path = out / "sweep.csv"

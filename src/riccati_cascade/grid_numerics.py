@@ -38,6 +38,7 @@ through the squaring.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -277,37 +278,50 @@ def _run_q_iteration(
     s is `source` on the working nodes, or 0 when it is None; s vanishes far
     out.  Level first-1 is `q` on the working nodes with tail `tau`, or,
     when q is None, `seed`, whose tail is `tau`.  Returns level n and its
-    tail.
+    tail.  Past the first `_inside` nodes, alpha * t lies beyond the working
+    grid, so g there is tau and 2g - g^2 is the next tau.
     """
+    inside = _inside(alpha, work_nodes)
     for j in range(first, n + 1):
         if q is None:
             g = seed(_scaled(alpha, work_nodes))
         else:
             g = _advanced(q, work_nodes, alpha, tau)
         q = None  # drop the previous level before the scan
-        gg = g * g  # 2g - g^2 in place, in the same operation order
-        g *= 2.0
-        g -= gg
-        del gg
+        head = g[:inside]
+        gg = head * head  # 2g - g^2 in place, in the same operation order
+        head *= 2.0
+        head -= gg
+        del gg, head
+        tau = 2.0 * tau - tau * tau
+        g[inside:] = tau
         q = _trapezoid_convolve(g, step)
         del g
         if source is not None:
             q += source
         np.clip(q, 0.0, 1.0, out=q)
-        tau = 2.0 * tau - tau * tau
     return q, tau
+
+
+def _inside(alpha: float, nodes: np.ndarray) -> int:
+    """searchsorted(alpha * nodes, nodes[-1], "right") without the full product:
+    the count of nodes t with alpha * t on the grid."""
+    return bisect.bisect_right(nodes, nodes[-1], key=lambda t: alpha * float(t))
 
 
 def _advanced(q: np.ndarray, nodes: np.ndarray, alpha: float, tau: float) -> np.ndarray:
     """np.interp(alpha * nodes, nodes, q, right=tau) bit for bit, in blocks.
 
+    Only the nodes `_inside` the grid are interpolated; the rest read tau.
     Blocks shorter than `nodes` keep np.interp from allocating a full-size
     argument array and slope table, which lowers the chains' peak memory.
     """
     g = np.empty_like(nodes)
-    for start in range(0, len(nodes), _INTERP_BLOCK):
-        block = slice(start, start + _INTERP_BLOCK)
-        g[block] = np.interp(_scaled(alpha, nodes[block]), nodes, q, right=tau)
+    inside = _inside(alpha, nodes)
+    for start in range(0, inside, _INTERP_BLOCK):
+        block = slice(start, min(start + _INTERP_BLOCK, inside))
+        g[block] = np.interp(alpha * nodes[block], nodes, q)
+    g[inside:] = tau
     return g
 
 

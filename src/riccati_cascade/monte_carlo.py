@@ -150,15 +150,16 @@ def _chunks(n: int) -> list[tuple[int, int]]:
 
 
 def _map_chunks(fn, tasks: list, workers: int) -> list:
-    """Run chunk tasks in order, with at most one process per task and core;
-    pool failures fall back to serial execution."""
+    """Run tasks in order, with at most one process per task and core; pool
+    failures fall back to serial execution.  `fn` must be a module-level
+    function and the tasks plain values, so both pickle."""
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(t) for t in tasks]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
-    except (BrokenProcessPool, OSError) as exc:  # pragma: no cover
+    except (BrokenProcessPool, OSError) as exc:
         warnings.warn(f"process pool unavailable ({exc}); running serially")
         return [fn(t) for t in tasks]
 

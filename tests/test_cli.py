@@ -4,6 +4,8 @@ import argparse
 import contextlib
 import csv
 import io
+import multiprocessing
+import os
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -21,6 +23,7 @@ from riccati_cascade import (
     estimate_leaf_histogram,
     estimate_v_curve,
     iterate_qn,
+    monte_carlo,
     picard_v0,
 )
 from riccati_cascade.analysis_io import (
@@ -36,6 +39,7 @@ from riccati_cascade.analysis_io import (
 from riccati_cascade.cascade_core import SamplerCapError
 from riccati_cascade.checks import CheckResult
 from riccati_cascade.cli import FIGURE_PRESETS, main
+from riccati_cascade.grid_numerics import GridMemoryError
 
 
 def run(tmp_path, *args):
@@ -454,6 +458,85 @@ class TestSweep:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ") and "--gap-tol" in err and "\n" not in err
         assert not (tmp_path / "sweep").exists()
+
+
+class TestSweepPool:
+    """`sweep` runs one scale per task through the estimators' process pool."""
+
+    # 0.66 stops early at n = 20; 1.2 runs to --max-n
+    ARGS = ("sweep", "--alpha-list", "0.66,1.2,3", "--step", "0.05", "--max-n", "30",
+            "--seed", "1")
+
+    def _run(self, tmp_path, capsys, monkeypatch, cores: int, status: int = 0):
+        """stdout's alpha= lines, sweep.csv's bytes (None when not written) and
+        stderr of one run with `cores` cores."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        out = tmp_path / f"cores{cores}"
+        assert run(out, *self.ARGS) == status
+        stdout, stderr = capsys.readouterr()
+        lines = [line for line in stdout.splitlines() if line.startswith("alpha=")]
+        csvs = list(out.glob("sweep/*/sweep.csv"))
+        return lines, csvs[0].read_bytes() if csvs else None, stderr
+
+    def _count_pools(self, monkeypatch) -> list:
+        started = []
+
+        class CountingPool(monte_carlo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(monte_carlo, "ProcessPoolExecutor", CountingPool)
+        return started
+
+    @pytest.mark.filterwarnings("error")  # a serial fallback would warn
+    def test_rows_and_lines_do_not_depend_on_the_core_count(self, tmp_path, capsys, monkeypatch):
+        started = self._count_pools(monkeypatch)
+        serial = self._run(tmp_path, capsys, monkeypatch, cores=1)
+        assert started == []
+        pooled = self._run(tmp_path, capsys, monkeypatch, cores=8)
+        assert started == [3]  # one pool, one process per scale
+        assert multiprocessing.active_children() == []
+        assert pooled == serial
+        rows = list(csv.DictReader(io.StringIO(serial[1].decode())))
+        assert [r["alpha"] for r in rows] == ["0.66", "1.2", "3.0"]
+        assert [r["n_iterations"] for r in rows[:2]] == ["20", "30"]
+        assert [line.split(":")[0] for line in serial[0]] == ["alpha=0.66", "alpha=1.2", "alpha=3"]
+
+    def test_a_pool_that_cannot_start_runs_serially_with_one_warning(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        serial = self._run(tmp_path, capsys, monkeypatch, cores=1)
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise OSError("no semaphores")
+
+        monkeypatch.setattr(monte_carlo, "ProcessPoolExecutor", NoPool)
+        with pytest.warns(UserWarning, match="process pool unavailable") as caught:
+            fallback = self._run(tmp_path, capsys, monkeypatch, cores=2)
+        assert len(caught) == 1
+        assert fallback == serial
+
+    @pytest.mark.filterwarnings("error")  # a serial fallback would warn
+    def test_a_grid_error_in_one_scale_exits_2_as_in_the_serial_path(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        real = cli.iterate_qn_levels
+
+        def failing(alpha, *args):
+            if alpha == 1.2:
+                raise GridMemoryError("working grid would need 99 nodes (cap 1)")
+            return real(alpha, *args)
+
+        # forked pool processes inherit the patched module global
+        monkeypatch.setattr(cli, "iterate_qn_levels", failing)
+        started = self._count_pools(monkeypatch)
+        serial = self._run(tmp_path, capsys, monkeypatch, cores=1, status=2)
+        pooled = self._run(tmp_path, capsys, monkeypatch, cores=2, status=2)
+        assert started == [2]
+        assert multiprocessing.active_children() == []
+        assert pooled == serial == ([], None, "error: working grid would need 99 nodes (cap 1)\n")
 
 
 class TestCheckCommand:

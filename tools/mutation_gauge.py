@@ -105,7 +105,11 @@ MUTANTS = [
            "GridFunction(grid, 1.0 - vals, 1.0, range_bounds=True)",
            (f"{T_GRID}::TestCarriedTail",)),
     Mutant("zero-extrapolation", GRID,
-           "nodes[block]), nodes, q, right=tau)", "nodes[block]), nodes, q, right=0.0)",
+           "        g[inside:] = tau\n", "        g[inside:] = 0.0\n",
+           (f"{T_GRID}::TestCarriedTail",)),
+    Mutant("flat-tail-reads-the-old-tau", GRID,
+           "        tau = 2.0 * tau - tau * tau\n        g[inside:] = tau\n",
+           "        g[inside:] = tau\n        tau = 2.0 * tau - tau * tau\n",
            (f"{T_GRID}::TestCarriedTail",)),
     Mutant("grid-overflow-warns", GRID,
            '    with np.errstate(over="ignore"):\n        return alpha * nodes\n',
@@ -119,10 +123,10 @@ MUTANTS = [
            "    b[1:] += phi[1:]\n", "    b[1:] *= 2.0\n",
            (f"{T_CHECKS}::test_check_passes[quadrature_order]",)),
     Mutant("cube-for-square", GRID,
-           "gg = g * g  #", "gg = g * g * g  #",
+           "gg = head * head  #", "gg = head * head * head  #",
            (f"{T_GRID}::TestIterateQn",)),
     Mutant("step-factor-1.999", GRID,
-           "        g *= 2.0\n", "        g *= 1.999\n",
+           "        head *= 2.0\n", "        head *= 1.999\n",
            (f"{T_GRID}::TestIdentity",)),
     Mutant("one-level-short", GRID,
            "    for j in range(first, n + 1):\n", "    for j in range(first, n):\n",
@@ -226,6 +230,13 @@ MUTANTS = [
            "float(np.std(samples, ddof=1) / math.sqrt",
            "float(1.5 * np.std(samples, ddof=1) / math.sqrt",
            ("tests/test_monte_carlo.py::TestStderr",)),
+    Mutant("sweep-never-pooled", CLI,
+           "for alpha in alphas], len(alphas))", "for alpha in alphas], 1)",
+           (f"{T_CLI}::TestSweepPool",)),
+    Mutant("pool-failure-not-caught", MC,
+           "    except (BrokenProcessPool, OSError) as exc:\n",
+           "    except BrokenProcessPool as exc:\n",
+           (f"{T_CLI}::TestSweepPool",)),
     Mutant("pool-not-bounded-by-cores", MC,
            "min(workers, len(tasks), os.cpu_count() or 1)", "min(workers, len(tasks))",
            ("tests/test_monte_carlo.py::TestReproducibility",)),
