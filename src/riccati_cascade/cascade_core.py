@@ -206,15 +206,17 @@ def leaf_census(
         if d < depth:
             _check_frontier(parents.size, sizes, frontier_cap, d + 1)
         width = 2
+    return _leaves(alive), alive
+
+
+def _leaves(alive: np.ndarray) -> np.ndarray:
+    """Leaves per depth from a census's alive vertices per depth."""
     # every vertex at depth d is a leaf or alive: the root, then two per survivor
     vertices = np.ones_like(alive)
     vertices[:, 1:] = 2 * alive[:, :-1]
-    return vertices - alive, alive
+    return vertices - alive
 
 
-# horizons past the float range are inf, as in leaf_census; at alpha = 0 the
-# path-sum weight alpha**-d is inf from d = 1 on, where no vertex is left to draw
-@np.errstate(over="ignore", divide="ignore")
 def sample_product_indicator(
     params: CascadeParams,
     ts,
@@ -245,23 +247,55 @@ def sample_product_indicator(
     alpha**n (t - S).  At t_max the walk's own horizons are read, so a
     one-horizon call gives the same values as a walk at that horizon alone.
     """
+    return _product_walk(params, ts, n, x0, clocks, streams, frontier_cap)[0]
+
+
+# horizons past the float range are inf, as in leaf_census; at alpha = 0 the
+# path-sum weight alpha**-d is inf from d = 1 on, where no vertex is left to draw
+@np.errstate(over="ignore", divide="ignore")
+def _product_walk(
+    params: CascadeParams,
+    ts,
+    n: int,
+    x0,
+    clocks: ClockSource,
+    streams: list,
+    frontier_cap: int = _DEFAULT_FRONTIER_CAP,
+    census_t: float | None = None,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """The draws of :func:`sample_product_indicator`, and given `census_t`
+    the (leaves, alive) census of :func:`leaf_census` at that horizon and
+    depth n, read off the same trees; else None in its place.
+
+    The walk runs at max(ts + [census_t]).  A vertex at depth d < n is
+    alive at census_t when its path sum is <= census_t, so that census is a
+    count per tree and level.  Depth n's clocks, which the product never
+    draws, are drawn last, after every product draw of a tree, and only
+    below the frontier entries whose path sum is < census_t (the others are
+    at horizon 0 there): so the product draws are those of the walk alone.
+    """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError(f"ts must be a non-empty 1-D array of horizons, got shape {ts.shape}")
     top = float(ts.max())
-    for t in (float(ts.min()), top):  # nan fails both
+    for t in (float(ts.min()), top) + (() if census_t is None else (census_t,)):  # nan fails
         _validate_horizon_depth(t, n, _MAX_COUNT_DEPTH)
     if not (0.0 <= x0.tail_value <= 1.0 and 0.0 <= x0.values.min() and x0.values.max() <= 1.0):
         raise ValueError("x0 takes values outside [0, 1]")
+    if census_t is not None:
+        top = max(top, census_t)
     alpha = np.float64(params.alpha)
     n_trees = len(streams)
     parents, width, sizes = np.full(n_trees, top), 1, np.ones(n_trees, dtype=np.int64)
     sums = np.zeros(n_trees)
+    alive = None if census_t is None else np.zeros((n_trees, n + 1), dtype=np.int64)
     for d in range(n):
         if parents.size == 0:
             break
         parents, sizes, sums = _level(parents, width, sizes, alpha, clocks, streams,
                                       sums, alpha ** -d)
+        if alive is not None:
+            alive[:, d] = _keep(sums, sums <= census_t, sizes)[1]
         _check_frontier(parents.size, sizes, frontier_cap, d + 1)
         width = 2
     # a leaf contributes the factor 1 (a horizon-0 vertex with budget left is
@@ -289,7 +323,15 @@ def sample_product_indicator(
                 grown = np.flatnonzero(counts)
                 starts = (counts.cumsum() - counts)[grown] * width
                 out[grown, j] = np.multiply.reduceat(factors.repeat(width), starts)
-    return out
+    if alive is None:
+        return out, None
+    inside = sums < census_t
+    if inside.any():
+        parents, sizes = _keep(parents, inside, sizes)
+        _, sizes, sums = _level(parents, width, sizes, alpha, clocks, streams,
+                                sums[inside], alpha ** -n)
+        alive[:, n] = _keep(sums, sums <= census_t, sizes)[1]
+    return out, (_leaves(alive), alive)
 
 
 @lru_cache(maxsize=64)

@@ -138,7 +138,8 @@ def check_subcritical_survival_vanishes(seed: int, samples: int) -> CheckResult:
 
 
 def check_product_indicator_mean(alpha: float, seed: int, samples: int) -> CheckResult:
-    """Monte Carlo product recursion agrees with the iterate; stderr-0 points exactly."""
+    """Monte Carlo product recursion agrees with the iterate: |z| <= 5 at every
+    point, against the iterate's binomial variance (see compare_series)."""
     grid = UniformGrid(8.0, 0.01)
     v0 = picard_v0(alpha, grid, 5)
     n = 5

@@ -44,6 +44,7 @@ from .grid_numerics import (
 )
 from .monte_carlo import (
     McConfig,
+    _figures_estimates,
     _map_chunks,
     estimate_leaf_histogram,
     estimate_path_tails,
@@ -314,14 +315,13 @@ def _cmd_check(args, seed: int, out: Path) -> tuple[list[Path], int]:
 
 
 def _cmd_figures(args, seed: int, out: Path) -> tuple[list[Path], int]:
-    """The `hist` output at t = 2 and the `vcurve` outputs at t-step 0.5, at
-    the preset's alpha."""
+    """The `vcurve` outputs at t-step 0.5 and the `hist` output at t = 2, at
+    the preset's alpha, read off one walk of the same trees."""
     alpha = FIGURE_PRESETS[args.preset]
     grid = _base_grid(args)
     cfg = McConfig(seed=seed, samples=args.samples, workers=args.workers)
-    hist = estimate_leaf_histogram(alpha, 2.0, args.depth, cfg)
     v0 = picard_v0(alpha, grid, args.picard_k, args.eps_tail)
-    curve = estimate_v_curve(alpha, _t_points(args.t_max, 0.5), args.depth, v0, cfg)
+    hist, curve = _figures_estimates(alpha, 2.0, _t_points(args.t_max, 0.5), args.depth, v0, cfg)
     files = [
         write_histogram_csv(hist, out / "histogram.csv"),
         write_series_csv(curve, out / "vcurve_mc.csv"),

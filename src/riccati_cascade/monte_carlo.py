@@ -4,10 +4,12 @@ Every tree reads a counter-based substream fixed by its sample index, so
 results are bit-identical for any worker count: workers only decide who
 computes which fixed chunk of the sample index space.  All chunks of one
 call go through one map, so a call starts at most one process pool.
-Standard errors are CLT-based (sample standard deviation / sqrt(n)).
+Standard errors are CLT-based (sample standard deviation / sqrt(n));
+`compare_series` scores a mean against its reference's binomial variance.
 
 The v-curve walks each tree once, at its largest t, and reads the product
-at every t-point from that walk.  The two path tails come from one
+at every t-point from that walk; `figures` reads its leaf census off the
+same walk, through the same map.  The two path tails come from one
 estimator: each tree is walked once per t-point and yields both the min-
 and the max-path-sum indicator.
 """
@@ -26,6 +28,7 @@ import numpy as np
 from .cascade_core import (
     CascadeParams,
     ClockSource,
+    _product_walk,
     derive_stream,
     leaf_census,
     sample_product_indicator,
@@ -254,9 +257,13 @@ def estimate_v_curve(
         return EstimateSeries(())
     [results] = _map_points(_vcurve_chunk, [(alpha, cfg.seed, np.array(t_list), n, v0)],
                             cfg.samples, cfg.workers)
-    draws = np.concatenate(results)
+    return _series(t_list, np.concatenate(results))
+
+
+def _series(t_list: list[float], draws: np.ndarray) -> EstimateSeries:
+    """Column j of `draws`, one row per tree, as the point at t_list[j]."""
     return EstimateSeries(tuple(
-        EstimatePoint(t, *_mean_stderr(draws[:, j]), cfg.samples) for j, t in enumerate(t_list)
+        EstimatePoint(t, *_mean_stderr(draws[:, j]), len(draws)) for j, t in enumerate(t_list)
     ))
 
 
@@ -271,11 +278,15 @@ def _census_rows(
     return np.concatenate(leaves), np.concatenate(alive)
 
 
+def _leaf_totals(leaves: np.ndarray, alive: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each tree's truncated leaf count, and how many trees are alive at the cap."""
+    return leaves.sum(axis=1), int(np.count_nonzero(alive[:, -1]))
+
+
 def _hist_chunk(task) -> tuple[np.ndarray, int]:
     alpha, seed, t, depth, base_index, lo, hi = task
-    leaves, alive = _census_rows(CascadeParams(alpha, seed), t, depth,
-                                 base_index + lo, base_index + hi)
-    return leaves.sum(axis=1), int(np.count_nonzero(alive[:, depth]))
+    return _leaf_totals(*_census_rows(CascadeParams(alpha, seed), t, depth,
+                                      base_index + lo, base_index + hi))
 
 
 def estimate_leaf_histogram(
@@ -288,6 +299,11 @@ def estimate_leaf_histogram(
     _check_depth(depth)
     [results] = _map_points(_hist_chunk, [(alpha, cfg.seed, float(t), depth)],
                             cfg.samples, cfg.workers)
+    return _histogram(t, depth, results)
+
+
+def _histogram(t: float, depth: int, results: list[tuple[np.ndarray, int]]) -> Histogram:
+    """The histogram of the chunks' (leaf totals, truncated count) pairs."""
     values = np.concatenate([r[0] for r in results])
     truncated = int(sum(r[1] for r in results))
     uniq, cnt = np.unique(values, return_counts=True)
@@ -300,6 +316,38 @@ def estimate_leaf_histogram(
         truncated_count=truncated,
         max_observed=int(values.max()),
     )
+
+
+def _figures_chunk(task) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rows lo..hi-1 of the v-curve draws, with the leaf totals and the
+    truncated count of the census at t_census on the same trees."""
+    alpha, seed, ts, n, v0, t_census, base_index, lo, hi = task
+    params = CascadeParams(alpha, seed)
+    walks = [_product_walk(params, ts, n, v0, _CLOCKS, streams, census_t=t_census)
+             for streams in _sub_batches(params, base_index + lo, base_index + hi, _batch_size(n))]
+    leaves, alive = (np.concatenate(rows) for rows in zip(*(census for _, census in walks)))
+    return np.concatenate([out for out, _ in walks]), *_leaf_totals(leaves, alive)
+
+
+def _figures_estimates(
+    alpha: float,
+    t_census: float,
+    t_points,
+    depth: int,
+    v0: GridFunction,
+    cfg: McConfig,
+) -> tuple[Histogram, EstimateSeries]:
+    """`estimate_leaf_histogram` at t_census and `estimate_v_curve` at
+    t_points, both on trees 0..samples-1 and both from one walk per tree,
+    through one map.  The v-curve's draws are those of estimate_v_curve;
+    the histogram comes from the same trees, so the two are correlated."""
+    _check_depth(depth)
+    t_list = _check_t_points(t_points)
+    [results] = _map_points(
+        _figures_chunk, [(alpha, cfg.seed, np.array(t_list), depth, v0, float(t_census))],
+        cfg.samples, cfg.workers)
+    hist = _histogram(t_census, depth, [r[1:] for r in results])
+    return hist, _series(t_list, np.concatenate([r[0] for r in results]))
 
 
 def _tail_chunk(task) -> tuple[np.ndarray, np.ndarray]:
@@ -362,16 +410,17 @@ def compare_series(
     z_threshold: float = 4.0,
     min_fraction: float = 0.95,
 ) -> ComparisonReport:
-    """z = (mean - reference) / stderr per point.
+    """z = (mean - p) / sqrt(p (1 - p) / n) per point, with p the reference.
 
-    A point whose draws all sit at 0 or all at 1 has stderr 0 by chance
-    when the reference p lies strictly between 0 and 1 (a [0, 1] draw of
-    mean p is 1 with probability at most p); it scores
-    (mean - p) / sqrt(p (1 - p) / n) instead.  Any other stderr-0 point
-    must match exactly.  Points beyond the reference grid evaluate through
-    its tail policy and are flagged.  The report passes when at least
-    `min_fraction` of the points satisfy |z| <= z_threshold.  An empty
-    series is rejected.
+    The series must come from draws in [0, 1], as every estimator's does:
+    such a draw with mean p has variance at most p (1 - p), so where p lies
+    strictly between 0 and 1 the reference's binomial variance bounds the
+    mean's, and unlike the sample stderr it cannot collapse when the draws
+    of a rare event happen to agree.  Where p is 0 or 1 a point scores
+    (mean - p) / stderr, and one with stderr 0 must match p exactly.
+    Points beyond the reference grid evaluate through its tail policy and
+    are flagged.  The report passes when at least `min_fraction` of the
+    points satisfy |z| <= z_threshold.  An empty series is rejected.
     """
     if not mc.points:
         raise ValueError("compare_series needs a Monte Carlo series with points; mc is empty")
@@ -380,10 +429,10 @@ def compare_series(
     for p in mc.points:
         ref = reference(p.t)
         tails.append(p.t > t_end)
-        if p.stderr != 0.0:
-            z = (p.mean - ref) / p.stderr
-        elif p.mean in (0.0, 1.0) and 0.0 < ref < 1.0:
+        if 0.0 < ref < 1.0:
             z = (p.mean - ref) / math.sqrt(ref * (1.0 - ref) / p.n_samples)
+        elif p.stderr != 0.0:
+            z = (p.mean - ref) / p.stderr
         else:
             z = 0.0 if p.mean == ref else math.inf
         ts.append(p.t)

@@ -29,6 +29,7 @@ from riccati_cascade.cascade_core import (
     _DEFAULT_FRONTIER_CAP,
     _MAX_COUNT_DEPTH,
     _level,
+    _product_walk,
     _survival_mass,
     _validate_horizon_depth,
 )
@@ -208,6 +209,49 @@ def _reference_sample_product_indicator(
     if horizons.size == 0:
         return 1.0
     return float(np.prod(_x0_values(horizons)))
+
+
+@np.errstate(divide="ignore")  # alpha**-d is inf at alpha = 0, where nothing is drawn
+def _reference_walk_census(params, top, t_c, n, clocks, stream):
+    """One tree's census at t_c <= top read off its level-order walk at top,
+    as (leaves, alive) per depth 0..n: the oracle for the census that
+    `figures` reads off the v-curve's walk.
+
+    The walk keeps a vertex whose clock is within its horizon at top and
+    carries its path sum S, at least one ulp above its parent's; a vertex
+    at depth d < n is alive at t_c when S <= t_c.  Depth n's clocks, which
+    the product walk never draws, are drawn last, and only below the
+    vertices whose S is < t_c."""
+    alpha = np.float64(params.alpha)
+    horizons, sums = np.array([float(top)]), np.zeros(1)
+    alive = np.zeros(n + 1, dtype=np.int64)
+    for d in range(n + 1):
+        if d == n:
+            horizons, sums = horizons[sums < t_c], sums[sums < t_c]
+        drawn = horizons > 0.0
+        horizons, sums = horizons[drawn], sums[drawn]
+        draws = clocks.draw(stream, horizons.size)
+        kept = draws <= horizons
+        sums = np.maximum(sums + alpha ** -d * draws, np.nextafter(sums, np.inf))[kept]
+        alive[d] = np.count_nonzero(sums <= t_c)
+        horizons = np.repeat(alpha * (horizons - draws)[kept], 2)
+        sums = np.repeat(sums, 2)
+    vertices = np.concatenate([[1], 2 * alive[:-1]])
+    return vertices - alive, alive
+
+
+def _logged_draws(fn, streams):
+    """fn()'s result, and per stream the sizes of the clock blocks it drew, in order."""
+    log = {id(s): [] for s in streams}
+    draw = ClockSource.draw
+
+    def logged(source, gen, n):
+        log[id(gen)].append(n)
+        return draw(source, gen, n)
+
+    with mock.patch.object(ClockSource, "draw", logged):
+        result = fn()
+    return result, [log[id(s)] for s in streams]
 
 
 def _reference_level(parents, width, sizes, alpha, clocks, streams):
@@ -538,6 +582,87 @@ class TestHorizons:
         for ts in ([], [[1.0, 2.0]], 1.0, [1.0, -0.5], [1.0, math.nan], [math.inf]):
             with pytest.raises(ValueError):
                 sample_product_indicator(p, ts, 3, SEEDS[0], EXP, [derive_stream(p, 0)])
+
+
+class TestCensusReadout:
+    """The census at t_c read off the product walk, which `figures` uses."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.66, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("value", [0.25, 0.7, 1.0])
+    def test_constant_clocks_give_the_census_at_t_c(self, alpha, value):
+        # every traversal order sees the same tree under constant clocks; at
+        # alpha = 1 and 2 with clocks 0.25 and 1 the path sums meet t_c =
+        # 1.5, 1.75 and 2 exactly, where a vertex at S = t_c is alive.  Both
+        # routes round, so a tie can split: at alpha = 1, clocks 0.3 and
+        # t_c = 1.5 the sum 5 x 0.3 rounds to 1.5 while the horizon walk
+        # leaves 1.5 - 4 x 0.3 = 0.29999999999999993 below the fifth clock
+        p = params(alpha)
+        clocks = ClockSource.constant(value)
+        for t_c, ts, n in itertools.product((0.0, 0.7, 1.5, 1.75, 2.0, 3.0),
+                                            ([3.0], [0.5, 8.0], [1.0]), (0, 1, 4, 8)):
+            _, (leaves, alive) = _product_walk(p, ts, n, SEEDS[0], clocks, _streams(p, 0, 3),
+                                               census_t=t_c)
+            want_leaves, want_alive = leaf_census(p, t_c, n, clocks, _streams(p, 0, 3))
+            assert np.array_equal(alive, want_alive), (t_c, ts, n)
+            assert np.array_equal(leaves, want_leaves), (t_c, ts, n)
+
+    @pytest.mark.parametrize("alpha", [0.66, 1.5, 3.0])
+    def test_exponential_clocks_match_the_walk_replayed_per_tree(self, alpha):
+        p = params(alpha, seed=131)
+        index = 0
+        for (t_c, ts), n, size in itertools.product(
+            ((2.0, [0.0, 4.0, 8.0]), (0.5, [2.0]), (2.0, [2.0, 1.0]), (3.0, [1.0])),
+            (0, 1, 5, 10), (1, 7),
+        ):
+            ids = range(index, index + size)
+            index += size
+            got_streams = [derive_stream(p, i) for i in ids]
+            (_, census), blocks = _logged_draws(
+                lambda: _product_walk(p, ts, n, SEEDS[1], EXP, got_streams, census_t=t_c),
+                got_streams)
+            want_streams = [derive_stream(p, i) for i in ids]
+            want = [_reference_walk_census(p, max(ts + [t_c]), t_c, n, EXP, s)
+                    for s in want_streams]
+            assert np.array_equal(census[0], [w[0] for w in want]), (t_c, ts, n)
+            assert np.array_equal(census[1], [w[1] for w in want]), (t_c, ts, n)
+            assert _next_draws(got_streams) == _next_draws(want_streams)
+            # the product walk alone draws the same blocks, census draws last
+            plain_streams = [derive_stream(p, i) for i in ids]
+            _, plain_blocks = _logged_draws(
+                lambda: sample_product_indicator(p, ts + [t_c], n, SEEDS[1], EXP, plain_streams),
+                plain_streams)
+            for got, plain in zip(blocks, plain_blocks):
+                assert got[:len(plain)] == plain and len(got) - len(plain) <= 1
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.66, 1.5, 3.0])
+    @pytest.mark.parametrize("clocks", [EXP, ClockSource.constant(0.7)], ids=["exp", "const"])
+    def test_product_draws_are_the_walks_alone(self, alpha, clocks):
+        p = params(alpha, seed=137)
+        ts = [0.5, 2.0, 8.0, 5.0]
+        for x0, n, t_c in itertools.product(SEEDS, (0, 3, 10), (0.0, 2.0)):
+            got_streams = _streams(p, 0, 12)
+            out, (_, alive) = _product_walk(p, ts, n, x0, clocks, got_streams, census_t=t_c)
+            want = sample_product_indicator(p, ts, n, x0, clocks, _streams(p, 0, 12))
+            assert out.tolist() == want.tolist(), (x0.tail_value, n, t_c)
+            want_streams = _streams(p, 0, 12)
+            replay = [_reference_walk_census(p, 8.0, t_c, n, clocks, s) for s in want_streams]
+            assert np.array_equal(alive, [r[1] for r in replay]), (x0.tail_value, n, t_c)
+            assert _next_draws(got_streams) == _next_draws(want_streams)
+
+    def test_a_census_beyond_the_largest_t_walks_at_the_census_horizon(self):
+        p = params(1.5, seed=139)
+        out, census = _product_walk(p, [0.5, 1.0], 6, SEEDS[0], EXP, _streams(p, 0, 20),
+                                    census_t=2.0)
+        want = sample_product_indicator(p, [0.5, 1.0, 2.0], 6, SEEDS[0], EXP, _streams(p, 0, 20))
+        assert out.tolist() == want[:, :2].tolist()
+        replay = [_reference_walk_census(p, 2.0, 2.0, 6, EXP, s) for s in _streams(p, 0, 20)]
+        assert np.array_equal(census[1], [r[1] for r in replay])
+
+    def test_rejects_a_bad_census_horizon(self):
+        p = params(1.5)
+        for t_c in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="horizon"):
+                _product_walk(p, [1.0], 3, SEEDS[0], EXP, [derive_stream(p, 0)], census_t=t_c)
 
 
 class TestTailFlags:

@@ -160,17 +160,19 @@ def test_seed_domination_names_the_level_and_node_of_the_worst_excess():
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.1])
-def test_product_check_scores_a_stderr_zero_point_by_exact_match(monkeypatch, offset):
-    # a point with stderr 0 inside (0, 1) passes only when it equals the
-    # iterate exactly
+def test_product_check_scores_a_stderr_zero_point_by_the_iterates_variance(monkeypatch, offset):
+    # a point with stderr 0 inside (0, 1) is scored against the iterate's
+    # binomial variance: at 1,000 trees an offset of 0.1 is |z| >= 6.3 at
+    # every point (p (1 - p) <= 1/4), and the exact iterate is z = 0
     def exact_series(alpha, t_points, n, v0, cfg):
         vn = iterate_vn(alpha, v0.grid, n, v0)
         return EstimateSeries(tuple(EstimatePoint(t, vn(t) + offset, 0.0, cfg.samples)
                                     for t in t_points))
 
     monkeypatch.setattr(checks, "estimate_v_curve", exact_series)
-    result = checks.check_product_indicator_mean(1.5, 21, 100)
+    result = checks.check_product_indicator_mean(1.5, 21, 1000)
     assert result.passed == (offset == 0.0), result.detail
+    assert ("max |z| = 0.00 " in result.detail) == (offset == 0.0), result.detail
 
 
 def test_worker_invariance_maps_the_histogram_through_the_pool(monkeypatch):

@@ -16,11 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riccati_cascade import (
+    CascadeParams,
+    ClockSource,
     GridFunction,
+    Histogram,
     McConfig,
     UniformGrid,
     cli,
-    estimate_leaf_histogram,
+    derive_stream,
     estimate_v_curve,
     iterate_qn,
     monte_carlo,
@@ -30,6 +33,7 @@ from riccati_cascade.analysis_io import (
     RunManifest,
     file_digest,
     load_manifest,
+    read_histogram_csv,
     verify_manifest,
     write_grid_function,
     write_histogram_csv,
@@ -40,10 +44,24 @@ from riccati_cascade.cascade_core import SamplerCapError
 from riccati_cascade.checks import CheckResult
 from riccati_cascade.cli import FIGURE_PRESETS, main
 from riccati_cascade.grid_numerics import GridMemoryError
+from test_cascade_core import _reference_walk_census
 
 
 def run(tmp_path, *args):
     return main([*args, "--out", str(tmp_path)])
+
+
+def _count_pools(monkeypatch) -> list:
+    """The max_workers of every process pool started from now on."""
+    started = []
+
+    class CountingPool(monte_carlo.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(monte_carlo, "ProcessPoolExecutor", CountingPool)
+    return started
 
 
 def _subcommand_flags() -> dict[str, set[str]]:
@@ -114,7 +132,9 @@ def _reference_figure_bundle(
     workers: int = 1,
     mc_t_step: float = 0.5,
 ) -> dict[str, Path]:
-    """The figure bundle that the I/O layer used to write for `figures`, verbatim."""
+    """The figure bundle of `figures`: the v-curve of `estimate_v_curve`, and
+    the histogram at t of the leaf census on the same trees, each replayed
+    alone from its level-order walk at the v-curve's largest t."""
     if preset not in FIGURE_PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(FIGURE_PRESETS)}")
     alpha = FIGURE_PRESETS[preset]
@@ -123,10 +143,20 @@ def _reference_figure_bundle(
     grid = UniformGrid(t_max, step)
     cfg = McConfig(seed=seed, samples=samples, workers=workers)
 
-    hist = estimate_leaf_histogram(alpha, t, depth, cfg)
     v0 = picard_v0(alpha, grid, picard_k, eps_tail)
     t_points = np.arange(0.0, t_max + mc_t_step / 2.0, mc_t_step)
     curve = estimate_v_curve(alpha, t_points, depth, v0, cfg)
+    params = CascadeParams(alpha, seed)
+    top = max(float(t_points.max()), t)
+    totals, truncated = [], 0
+    for i in range(samples):
+        leaves, alive = _reference_walk_census(params, top, t, depth, ClockSource.exponential(),
+                                               derive_stream(params, i))
+        totals.append(int(leaves.sum()))
+        truncated += int(alive[depth] > 0)
+    values, counts = np.unique(totals, return_counts=True)
+    hist = Histogram(t=t, depth=depth, counts=dict(zip(values.tolist(), counts.tolist())),
+                     total=samples, truncated_count=truncated, max_observed=max(totals))
 
     paths = {
         "histogram": write_histogram_csv(hist, out_dir / "histogram.csv"),
@@ -363,6 +393,25 @@ class TestFigures:
         assert got == want
         assert sorted(got["outputs"]) == sorted(names)
 
+    @pytest.mark.filterwarnings("error")  # a serial fallback would warn
+    def test_data_files_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        # 1,500 trees are two chunks, so --workers 2 maps them in one pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        started = _count_pools(monkeypatch)
+        args = ("figures", "--preset", "fig2", "--seed", "7", "--samples", "1500", "--depth", "6",
+                "--t-max", "4", "--step", "0.05", "--picard-k", "3")
+        names = ["histogram.csv", "vcurve_mc.csv", "v0_picard.csv", "v0_picard.csv.meta.json"]
+        files = {}
+        for workers in ("1", "2"):
+            assert run(tmp_path / workers, *args, "--workers", workers) == 0
+            (out_dir,) = (tmp_path / workers / "figures").iterdir()
+            files[workers] = [(out_dir / name).read_bytes() for name in names]
+        assert started == [2]
+        assert multiprocessing.active_children() == []
+        assert files["1"] == files["2"]
+        hist = read_histogram_csv(out_dir / "histogram.csv")
+        assert hist.total == 1500 == sum(hist.counts.values())
+
     def test_unknown_preset(self, tmp_path):
         assert run(tmp_path, "figures", "--preset", "fig9", "--seed", "1") == 2
         assert not (tmp_path / "figures").exists()
@@ -478,20 +527,9 @@ class TestSweepPool:
         csvs = list(out.glob("sweep/*/sweep.csv"))
         return lines, csvs[0].read_bytes() if csvs else None, stderr
 
-    def _count_pools(self, monkeypatch) -> list:
-        started = []
-
-        class CountingPool(monte_carlo.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(monte_carlo, "ProcessPoolExecutor", CountingPool)
-        return started
-
     @pytest.mark.filterwarnings("error")  # a serial fallback would warn
     def test_rows_and_lines_do_not_depend_on_the_core_count(self, tmp_path, capsys, monkeypatch):
-        started = self._count_pools(monkeypatch)
+        started = _count_pools(monkeypatch)
         serial = self._run(tmp_path, capsys, monkeypatch, cores=1)
         assert started == []
         pooled = self._run(tmp_path, capsys, monkeypatch, cores=8)
@@ -531,7 +569,7 @@ class TestSweepPool:
 
         # forked pool processes inherit the patched module global
         monkeypatch.setattr(cli, "iterate_qn_levels", failing)
-        started = self._count_pools(monkeypatch)
+        started = _count_pools(monkeypatch)
         serial = self._run(tmp_path, capsys, monkeypatch, cores=1, status=2)
         pooled = self._run(tmp_path, capsys, monkeypatch, cores=2, status=2)
         assert started == [2]

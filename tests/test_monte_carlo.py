@@ -356,12 +356,39 @@ class TestCompareSeries:
         assert report.z_scores[1] == pytest.approx(0.002, abs=5e-4)
         assert report.fraction_within == 1.0 and report.passed
 
-    def test_an_interior_stderr_zero_point_must_match_exactly(self):
-        # draws that all equal one value inside (0, 1) are no binomial count
+    def test_an_interior_point_scores_against_the_reference_variance(self):
+        # p = 0.5 and n = 100: (0.6 - 0.5) / sqrt(0.25 / 100) = 2, whatever
+        # the sample stderr, also where the draws all agree
         ref = GridFunction.constant(GRID, 0.5)
-        for mean, z in ((0.5, 0.0), (0.6, math.inf)):
-            series = EstimateSeries((EstimatePoint(1.0, mean, 0.0, 100),))
-            assert compare_series(series, ref).z_scores == (z,)
+        for stderr in (0.0, 0.01, 0.2):
+            series = EstimateSeries((EstimatePoint(1.0, 0.6, stderr, 100),))
+            assert compare_series(series, ref).z_scores == (pytest.approx(2.0),)
+
+    def test_a_point_where_p_is_0_or_1_keeps_the_stderr_and_the_exact_match(self):
+        for p, mean, stderr, z in ((1.0, 1.0, 0.0, 0.0), (1.0, 0.99, 0.0, math.inf),
+                                   (1.0, 0.98, 0.01, -2.0), (0.0, 0.0, 0.0, 0.0),
+                                   (0.0, 0.03, 0.01, 3.0)):
+            series = EstimateSeries((EstimatePoint(1.0, mean, stderr, 100),))
+            report = compare_series(series, GridFunction.constant(GRID, p))
+            assert report.z_scores == (pytest.approx(z),), (p, mean, stderr)
+
+    def test_a_rare_event_mean_is_no_false_alarm_and_a_wrong_reference_fails(self):
+        # check --fast --alpha 3 --seed 907: at t = 4, 199 of 200 trees give
+        # the product 1, so the sample stderr is 5.2e-5 and scores the mean
+        # 0.99995 against v_5(4) = 0.99631 at |z| = 69.5, where 20,000 trees
+        # agree; the reference's variance scores it below 1.  The iterate at
+        # alpha = 2 still fails at every point
+        g = UniformGrid(8.0, 0.01)
+        v0 = picard_v0(3.0, g, 5)
+        series = estimate_v_curve(3.0, [1.0, 2.0, 4.0], 5, v0, McConfig(seed=907, samples=200))
+        vn = iterate_vn(3.0, g, 5, v0)
+        last = series.points[-1]
+        assert abs(last.mean - vn(4.0)) / last.stderr > 60.0
+        report = compare_series(series, vn, z_threshold=5.0, min_fraction=1.0)
+        assert report.passed and report.max_abs_z < 1.0
+        wrong = iterate_vn(2.0, g, 5, picard_v0(2.0, g, 5))
+        report = compare_series(series, wrong, z_threshold=5.0, min_fraction=1.0)
+        assert not report.passed and min(report.z_scores) > 3.0
 
     def test_tail_points_flagged(self):
         ones = GridFunction.constant(UniformGrid(2.0, 0.1), 1.0)

@@ -203,9 +203,30 @@ MUTANTS = [
            "if not (0.0 <= x0.tail_value", "if False and not (0.0 <= x0.tail_value",
            ("tests/test_cascade_core.py::TestProductIndicator"
             "::test_out_of_range_seed_rejected_before_any_clock",)),
+    # the census read off the product walk
+    Mutant("census-strict-at-the-horizon", CORE,
+           "alive[:, d] = _keep(sums, sums <= census_t, sizes)[1]",
+           "alive[:, d] = _keep(sums, sums < census_t, sizes)[1]",
+           ("tests/test_cascade_core.py::TestCensusReadout",)),
+    Mutant("census-depth-n-strict-at-the-horizon", CORE,
+           "alive[:, n] = _keep(sums, sums <= census_t, sizes)[1]",
+           "alive[:, n] = _keep(sums, sums < census_t, sizes)[1]",
+           ("tests/test_cascade_core.py::TestCensusReadout",)),
+    Mutant("census-skips-depth-n", CORE,
+           "    if inside.any():\n", "    if False:\n",
+           ("tests/test_cascade_core.py::TestCensusReadout",)),
+    Mutant("census-walks-at-the-largest-t-only", CORE,
+           "        top = max(top, census_t)\n", "        pass\n",
+           ("tests/test_cascade_core.py::TestCensusReadout",)),
+    Mutant("figures-census-skips-depth-n", CORE,
+           "    if inside.any():\n", "    if False:\n",
+           (f"{T_CLI}::TestFigures",)),
+    Mutant("truncated-at-the-root", MC,
+           "int(np.count_nonzero(alive[:, -1]))", "int(np.count_nonzero(alive[:, 0]))",
+           (f"{T_CLI}::TestFigures::test_matches_reference_bundle",)),
     Mutant("vcurve-columns-shuffled", MC,
-           "draws[:, j]), cfg.samples) for j, t in enumerate(t_list)",
-           "draws[:, -1 - j]), cfg.samples) for j, t in enumerate(t_list)",
+           "draws[:, j]), len(draws)) for j, t in enumerate(t_list)",
+           "draws[:, -1 - j]), len(draws)) for j, t in enumerate(t_list)",
            ("tests/test_monte_carlo.py::TestVCurve",)),
     Mutant("worker-check-below-the-pool", "src/riccati_cascade/checks.py",
            "cfg = McConfig(seed=seed, samples=1200, workers=workers)\n        series",
@@ -218,10 +239,13 @@ MUTANTS = [
            "head + (j * samples, lo, hi)", "head + (0, lo, hi)",
            ("tests/test_monte_carlo.py::TestPathTails",)),
     Mutant("all-crossed-point-scores-inf", MC,
-           "elif p.mean in (0.0, 1.0) and 0.0 < ref < 1.0:", "elif False:",
+           "        if 0.0 < ref < 1.0:\n", "        if False:\n",
            ("tests/test_monte_carlo.py::TestCompareSeries",)),
-    Mutant("interior-stderr-0-point-scored", MC,
-           "elif p.mean in (0.0, 1.0) and 0.0 < ref < 1.0:", "elif 0.0 < ref < 1.0:",
+    Mutant("sample-stderr-where-it-is-positive", MC,
+           "        if 0.0 < ref < 1.0:\n", "        if p.stderr == 0.0 and 0.0 < ref < 1.0:\n",
+           ("tests/test_monte_carlo.py::TestCompareSeries",)),
+    Mutant("exact-match-at-0-or-1-dropped", MC,
+           "z = 0.0 if p.mean == ref else math.inf", "z = 0.0",
            ("tests/test_monte_carlo.py::TestCompareSeries",)),
     Mutant("empty-series-compared", MC,
            "    if not mc.points:\n", "    if False:\n",
