@@ -110,14 +110,19 @@ def _validate_horizon_depth(t: float, depth: int, max_depth: int) -> None:
         )
 
 
+def _per_tree(where: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """How many of the increasing entry indices `where` each tree owns (k owns sizes[k])."""
+    if len(sizes) == 1:  # a single tree owns them all
+        return np.array([where.size])
+    counts = where.searchsorted(sizes.cumsum())
+    counts[1:] -= counts[:-1].copy()
+    return counts
+
+
 def _keep(values: np.ndarray, kept: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries of `values` where `kept`, and their count per tree (k owns sizes[k])."""
     where = kept.nonzero()[0]
-    if len(sizes) == 1:  # a single tree: its count is the number kept
-        return values.take(where), np.array([where.size])
-    counts = where.searchsorted(sizes.cumsum())
-    counts[1:] -= counts[:-1].copy()
-    return values.take(where), counts
+    return values.take(where), _per_tree(where, sizes)
 
 
 def _level(
@@ -154,13 +159,16 @@ def _level(
         # do; rounding up where the clock's term is below half an ulp keeps a
         # horizon-0 vertex a leaf at every t, as the walk at t alone has it
         grown = sums[:, None] + weight * draws.reshape(-1, width)
-        sums = np.maximum(grown, np.nextafter(sums, np.inf)[:, None]).ravel()
+        tie = grown == sums[:, None]
+        if tie.any():  # nextafter(grown) is nextafter(sums) there, -0.0 and inf included
+            np.nextafter(grown, np.inf, out=grown, where=tie)
+        sums = grown.ravel()
     # h - c in place; for finite doubles (gradual underflow) h - c >= 0 iff c <= h
     np.subtract(parents[:, None], draws.reshape(-1, width), out=draws.reshape(-1, width))
-    kept = draws >= 0.0
-    survivors, alive = _keep(draws, kept, width * sizes)
+    kept = (draws >= 0.0).nonzero()[0]
+    survivors = draws.take(kept)
     survivors *= alpha
-    return survivors, alive, None if sums is None else sums[kept]
+    return survivors, _per_tree(kept, width * sizes), None if sums is None else sums.take(kept)
 
 
 def _check_frontier(survivors: int, alive: np.ndarray, frontier_cap: int, depth: int) -> None:
@@ -273,6 +281,17 @@ def _product_walk(
     draws, are drawn last, after every product draw of a tree, and only
     below the frontier entries whose path sum is < census_t (the others are
     at horizon 0 there): so the product draws are those of the walk alone.
+
+    A column t < t_max reads only the frontier entries whose path sum S
+    has t - slack <= S <= t, and feeds through x0 those among them whose
+    horizon is not beyond reach (x0's grid end when its tail is 1, else
+    inf).  With r the double above reach, slack is the double above the
+    rounded r / alpha**n, so slack >= r / alpha**n exactly; where that is
+    inf or nan (inf / inf), or alpha**n is 0, there is no lower bound.
+    The set holds every entry the full frontier would feed: for S below
+    the rounded t - slack, the exact t - S exceeds slack, so the rounded
+    gap is >= slack, its product with alpha**n is >= r, and so is that
+    product's rounding, the horizon, which lies past reach.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -295,7 +314,7 @@ def _product_walk(
         parents, sizes, sums = _level(parents, width, sizes, alpha, clocks, streams,
                                       sums, alpha ** -d)
         if alive is not None:
-            alive[:, d] = _keep(sums, sums <= census_t, sizes)[1]
+            alive[:, d] = _per_tree((sums <= census_t).nonzero()[0], sizes)
         _check_frontier(parents.size, sizes, frontier_cap, d + 1)
         width = 2
     # a leaf contributes the factor 1 (a horizon-0 vertex with budget left is
@@ -306,18 +325,28 @@ def _product_walk(
     if parents.size:
         reach = x0.grid.t_end if x0.tail_value == 1.0 else math.inf
         scale = alpha ** n
+        # a path sum below t - slack has its horizon at t past reach (see
+        # above); an inf or nan (inf / inf) slack bounds nothing
+        slack = (math.nextafter(math.nextafter(reach, math.inf) / float(scale), math.inf)
+                 if scale else math.inf)
         for j, t in enumerate(ts.tolist()):
             # the alive entries not beyond reach; a nan horizon is kept, so
             # it shows in the product instead of reading as the factor 1
             if t == top:
-                horizons, kept = parents, ~(parents > reach)
+                where = (~(parents > reach)).nonzero()[0]
+                horizons = parents.take(where)
             else:
-                gap = t - sums
+                near = sums <= t
+                if slack < math.inf:
+                    near &= sums >= t - slack
+                where = near.nonzero()[0]
+                gap = t - sums.take(where)
                 # a vertex at horizon 0 reads x0(0), also where alpha**n is inf
                 horizons = np.zeros_like(gap)
                 np.multiply(gap, scale, out=horizons, where=gap > 0.0)
-                kept = (sums <= t) & ~(horizons > reach)
-            horizons, counts = _keep(horizons, kept, sizes)
+                inside = ~(horizons > reach)
+                where, horizons = where[inside], horizons[inside]
+            counts = _per_tree(where, sizes)
             if horizons.size:
                 factors = np.interp(horizons, x0.grid.nodes, x0.values, right=x0.tail_value)
                 grown = np.flatnonzero(counts)
@@ -330,7 +359,7 @@ def _product_walk(
         parents, sizes = _keep(parents, inside, sizes)
         _, sizes, sums = _level(parents, width, sizes, alpha, clocks, streams,
                                 sums[inside], alpha ** -n)
-        alive[:, n] = _keep(sums, sums <= census_t, sizes)[1]
+        alive[:, n] = _per_tree((sums <= census_t).nonzero()[0], sizes)
     return out, (_leaves(alive), alive)
 
 

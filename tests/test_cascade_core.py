@@ -240,6 +240,40 @@ def _reference_walk_census(params, top, t_c, n, clocks, stream):
     return vertices - alive, alive
 
 
+@np.errstate(over="ignore", divide="ignore")  # as in _product_walk
+def _reference_full_frontier_columns(params, ts, n, x0, clocks, streams):
+    """The v-curve columns as read before the window: the walk at max(ts)
+    through `_level`, then every lower column t scans the whole depth-n
+    frontier for the entries with S <= t whose horizon is not beyond reach."""
+    ts = np.asarray(ts, dtype=float)
+    top, alpha, trees = float(ts.max()), np.float64(params.alpha), len(streams)
+    parents, width, sizes, sums = np.full(trees, top), 1, np.ones(trees, dtype=np.int64), np.zeros(trees)
+    for d in range(n):
+        if parents.size == 0:
+            break
+        parents, sizes, sums = _level(parents, width, sizes, alpha, clocks, streams,
+                                      sums, alpha ** -d)
+        width = 2
+    reach = x0.grid.t_end if x0.tail_value == 1.0 else math.inf
+    tree = np.arange(trees).repeat(sizes)
+    out = np.ones((trees, ts.size))
+    for j, t in enumerate(ts.tolist()):
+        if t == top:
+            horizons, kept = parents, ~(parents > reach)
+        else:
+            gap = t - sums
+            horizons = np.zeros_like(gap)
+            np.multiply(gap, alpha ** n, out=horizons, where=gap > 0.0)
+            kept = (sums <= t) & ~(horizons > reach)
+        counts = np.bincount(tree[kept], minlength=trees)
+        if counts.any():
+            factors = np.interp(horizons[kept], x0.grid.nodes, x0.values, right=x0.tail_value)
+            grown = np.flatnonzero(counts)
+            starts = (counts.cumsum() - counts)[grown] * width
+            out[grown, j] = np.multiply.reduceat(factors.repeat(width), starts)
+    return out
+
+
 def _logged_draws(fn, streams):
     """fn()'s result, and per stream the sizes of the clock blocks it drew, in order."""
     log = {id(s): [] for s in streams}
@@ -582,6 +616,42 @@ class TestHorizons:
         for ts in ([], [[1.0, 2.0]], 1.0, [1.0, -0.5], [1.0, math.nan], [math.inf]):
             with pytest.raises(ValueError):
                 sample_product_indicator(p, ts, 3, SEEDS[0], EXP, [derive_stream(p, 0)])
+
+
+class TestColumnWindow:
+    """A lower column reads only the frontier entries near its horizon, and
+    gives the bits of the full-frontier read."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.66, 1.5, 3.0, 1e308])
+    def test_window_matches_the_full_frontier_read(self, alpha):
+        # unsorted, with t = 0 and a repeated point
+        ts = [2.5, 0.0, 6.0, 1.0, 2.5, 4.0, 0.3, 5.5]
+        p = params(alpha, seed=149)
+        for x0, n in itertools.product(SEEDS, (0, 1, 3, 6, 10)):
+            got_streams, want_streams = _streams(p, 0, 24), _streams(p, 0, 24)
+            got = sample_product_indicator(p, ts, n, x0, EXP, got_streams)
+            want = _reference_full_frontier_columns(p, ts, n, x0, EXP, want_streams)
+            assert np.array_equal(got, want), (x0.tail_value, n)
+            assert _next_draws(got_streams) == _next_draws(want_streams)
+
+    @pytest.mark.parametrize("alpha", [1.5, 3.0, 1e308])
+    def test_sums_at_the_window_bound_match_the_full_frontier_read(self, alpha):
+        # at n = 1 every frontier entry's path sum is the root's clock c;
+        # c sits at t - reach / alpha as rounded, and one ulp to either side
+        p = params(alpha)
+        below_and_read = 0
+        for t in (5.5, 6.0, 7.25):
+            bound = t - SEED_GRID.t_end / np.float64(alpha)
+            for c, x0 in itertools.product(
+                    (np.nextafter(bound, -math.inf), bound, np.nextafter(bound, math.inf)), SEEDS):
+                clocks = ClockSource.constant(c)
+                got = sample_product_indicator(p, [t, 8.0], 1, x0, clocks, [derive_stream(p, 0)])
+                want = _reference_full_frontier_columns(p, [t, 8.0], 1, x0, clocks,
+                                                        [derive_stream(p, 0)])
+                assert np.array_equal(got, want), (t, c, x0.tail_value)
+                below_and_read += c < bound and x0.tail_value == 1.0 and want[0, 0] != 1.0
+        # one ulp below the rounded bound can still be within reach
+        assert below_and_read > 0 or alpha == 1e308
 
 
 class TestCensusReadout:
@@ -968,6 +1038,25 @@ class TestBatchCore:
             assert survivors.tolist() == want_survivors, (lo, hi)
             assert alive.tolist() == want_alive, (lo, hi)
             assert _next_draws(got_streams) == _next_draws(want_streams)
+
+    @pytest.mark.parametrize("clocks", [EXP, ClockSource.constant(0.7)], ids=["exp", "const"])
+    def test_level_rounds_a_tied_path_sum_up(self, clocks):
+        # at weight 1e-20 the weighted clock is below half an ulp of the sums
+        # 1 and 3, at weight 1 of the sum 1e17; inf and nan sums stay so
+        p = params(1.5, seed=151)
+        parents = np.full(7, 4.0)
+        sizes = np.array([3, 0, 4])
+        sums = np.array([1.0, 3.0, 1e17, math.inf, math.nan, 0.0, 2.5])
+        for weight in (1e-20, 1.0):
+            _, _, got = _level(parents, 2, sizes, 1.5, clocks, _streams(p, 0, 3), sums, weight)
+            replay = _streams(p, 0, 3)
+            draws = np.concatenate([clocks.draw(replay[k], 2 * c)
+                                    for k, c in enumerate(sizes) if c]).reshape(-1, 2)
+            grown = sums[:, None] + weight * draws
+            assert (grown == sums[:, None]).any(), weight
+            kept = (draws <= parents[:, None]).ravel()
+            want = np.maximum(grown, np.nextafter(sums, np.inf)[:, None]).ravel()[kept]
+            assert np.array_equal(got, want, equal_nan=True), weight
 
     @pytest.mark.parametrize("t", [2.0, 8.0])
     def test_figures_shape_matches_per_tree_samplers(self, t):

@@ -178,15 +178,21 @@ MUTANTS = [
            "            if t == top:\n", "            if True:\n",
            ("tests/test_cascade_core.py::TestHorizons",)),
     Mutant("mask-on-the-horizon", CORE,
-           "kept = (sums <= t) &", "kept = (parents >= scale * (top - t)) &",
+           "near = sums <= t\n", "near = parents >= scale * (top - t)\n",
            ("tests/test_cascade_core.py::TestHorizons",)),
     Mutant("path-sums-unweighted", CORE,
            "sums, alpha ** -d)", "sums, 1.0)",
            ("tests/test_cascade_core.py::TestHorizons",)),
     Mutant("path-sums-may-tie", CORE,
-           "sums = np.maximum(grown, np.nextafter(sums, np.inf)[:, None]).ravel()",
-           "sums = grown.ravel()",
+           "        if tie.any():", "        if False:",
            ("tests/test_cascade_core.py::TestHorizons",)),
+    Mutant("level-tie-fix-dropped", CORE,
+           "tie = grown == sums[:, None]", "tie = grown != grown",
+           ("tests/test_cascade_core.py::TestBatchCore::test_level_rounds_a_tied_path_sum_up",)),
+    Mutant("level-tie-rounded-down", CORE,
+           "np.nextafter(grown, np.inf, out=grown, where=tie)",
+           "np.nextafter(grown, -np.inf, out=grown, where=tie)",
+           ("tests/test_cascade_core.py::TestBatchCore::test_level_rounds_a_tied_path_sum_up",)),
     Mutant("horizon-0-times-inf", CORE,
            "np.multiply(gap, scale, out=horizons, where=gap > 0.0)",
            "np.multiply(gap, scale, out=horizons)",
@@ -196,21 +202,32 @@ MUTANTS = [
            "reach = x0.grid.t_end",
            ("tests/test_cascade_core.py::TestBatchCore::test_batches_match_per_tree_samplers",)),
     Mutant("grid-end-dropped", CORE,
-           "& ~(horizons > reach)", "& (horizons < reach)",
+           "inside = ~(horizons > reach)", "inside = horizons < reach",
            ("tests/test_cascade_core.py::TestProductIndicator"
             "::test_a_horizon_at_the_grid_end_reads_the_last_node",)),
+    # the window of a lower column
+    Mutant("window-without-slack", CORE,
+           "math.nextafter(math.nextafter(reach, math.inf) / float(scale), math.inf)",
+           "reach / float(scale)",
+           ("tests/test_cascade_core.py::TestColumnWindow",)),
+    Mutant("window-open-at-its-bound", CORE,
+           "near &= sums >= t - slack", "near &= sums > t - slack",
+           ("tests/test_cascade_core.py::TestColumnWindow",)),
+    Mutant("window-at-the-top-bound", CORE,
+           "near &= sums >= t - slack", "near &= sums >= top - slack",
+           ("tests/test_cascade_core.py::TestColumnWindow",)),
     Mutant("range-check-skipped", CORE,
            "if not (0.0 <= x0.tail_value", "if False and not (0.0 <= x0.tail_value",
            ("tests/test_cascade_core.py::TestProductIndicator"
             "::test_out_of_range_seed_rejected_before_any_clock",)),
     # the census read off the product walk
     Mutant("census-strict-at-the-horizon", CORE,
-           "alive[:, d] = _keep(sums, sums <= census_t, sizes)[1]",
-           "alive[:, d] = _keep(sums, sums < census_t, sizes)[1]",
+           "alive[:, d] = _per_tree((sums <= census_t).nonzero()[0], sizes)",
+           "alive[:, d] = _per_tree((sums < census_t).nonzero()[0], sizes)",
            ("tests/test_cascade_core.py::TestCensusReadout",)),
     Mutant("census-depth-n-strict-at-the-horizon", CORE,
-           "alive[:, n] = _keep(sums, sums <= census_t, sizes)[1]",
-           "alive[:, n] = _keep(sums, sums < census_t, sizes)[1]",
+           "alive[:, n] = _per_tree((sums <= census_t).nonzero()[0], sizes)",
+           "alive[:, n] = _per_tree((sums < census_t).nonzero()[0], sizes)",
            ("tests/test_cascade_core.py::TestCensusReadout",)),
     Mutant("census-skips-depth-n", CORE,
            "    if inside.any():\n", "    if False:\n",
