@@ -255,7 +255,7 @@ def _cmd_qn(args, seed: int, out: Path) -> tuple[list[Path], int]:
     q0 = _explosion_seed(args.alpha, grid, args.picard_k, args.eps_tail)
     qn = iterate_qn(args.alpha, grid, args.depth, q0, args.eps_tail)
     files = _write_grid(qn, out / "qn.csv")
-    probe_ts = [v for v in (2.0, 4.0, args.t_max) if v <= grid.t_end]
+    probe_ts = [v for v in dict.fromkeys((2.0, 4.0, args.t_max)) if v <= grid.t_end]
     vals = ", ".join(f"q({t:g})={qn(t):.5f}" for t in probe_ts)
     print(f"explosion iterate at alpha={args.alpha}, n={args.depth}: {vals}")
     return files, 0

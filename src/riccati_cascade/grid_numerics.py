@@ -31,6 +31,10 @@ before, tau_j = 2 tau_{j-1} - tau_{j-1}^2 (s vanishes there), from tau_0 the
 seed's tail, so that is the flat value carried.  The extent doubles until
 the final iterate at the working grid's end is within eps_tail of tau_n,
 which certifies the extrapolation to that accuracy.
+With a zero tail (Picard, and the chains seeded from it) the scan's input
+is 0 past the nodes whose alpha*t lies on the working grid, so the scan
+stops at the block holding that live head and writes each later block as
+its carry's decay, which is the full scan's value bit for bit.
 Values are clipped into [0, 1] at every level; the trapezoid rule
 otherwise overshoots by O(h^2) at large t and the excess compounds
 through the squaring.
@@ -170,7 +174,7 @@ def _scan_powers(step: float, block: int) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(k), np.exp(-k)
 
 
-def _trapezoid_convolve(phi: np.ndarray, step: float) -> np.ndarray:
+def _trapezoid_convolve(phi: np.ndarray, step: float, live: int | None = None) -> np.ndarray:
     """Composite trapezoid of int_0^{t_i} exp(-s) phi-interpolant ds, all i at once.
 
     Written as the linear recurrence g_{i+1} = a g_i + b_{i+1}, with a = exp(-h)
@@ -183,24 +187,33 @@ def _trapezoid_convolve(phi: np.ndarray, step: float) -> np.ndarray:
     cancels and the relative rounding error stays within about B machine
     epsilons; for mixed-sign inputs the tests bound the absolute error by
     exp(h B) B eps max|b|.
+
+    `live` (default len(phi)) promises phi[live:] == 0, so b is 0 past node
+    live.  A block past the one holding node live then scans [a g, 0, 0, ...]:
+    up[0] = 1 and x + 0.0 = x, so its scan is a^k (a g) and is written as
+    that, with the full scan's bits for a nonnegative phi.
     """
     a = math.exp(-step)
+    block = max(1, min(len(phi), int(_SCAN_SPAN / step)))
+    end = len(phi) if live is None else min(len(phi), (live // block + 1) * block)
     b = np.empty_like(phi)
     b[0] = 0.0
     # in place, in the operation order of (h/2) * (a * phi[:-1] + phi[1:])
-    np.multiply(phi[:-1], a, out=b[1:])
-    b[1:] += phi[1:]
-    b[1:] *= step / 2.0
-    block = max(1, min(len(b), int(_SCAN_SPAN / step)))
+    np.multiply(phi[: end - 1], a, out=b[1:end])
+    b[1:end] += phi[1:end]
+    b[1:end] *= step / 2.0
     up, down = _scan_powers(step, block)
     carry = 0.0
     for lo in range(0, len(b), block):
         seg = b[lo : lo + block]
         m = len(seg)
-        seg[0] += a * carry
-        seg *= up[:m]
-        np.cumsum(seg, out=seg)
-        seg *= down[:m]
+        if lo < end:
+            seg[0] += a * carry
+            seg *= up[:m]
+            np.cumsum(seg, out=seg)
+            seg *= down[:m]
+        else:
+            np.multiply(down[:m], a * carry, out=seg)
         carry = float(seg[-1])
     return b
 
@@ -279,7 +292,8 @@ def _run_q_iteration(
     out.  Level first-1 is `q` on the working nodes with tail `tau`, or,
     when q is None, `seed`, whose tail is `tau`.  Returns level n and its
     tail.  Past the first `_inside` nodes, alpha * t lies beyond the working
-    grid, so g there is tau and 2g - g^2 is the next tau.
+    grid, so g there is tau and 2g - g^2 is the next tau.  With tau = 0 the
+    scan's input is 0 there, so the scan stops at the live head.
     """
     inside = _inside(alpha, work_nodes)
     for j in range(first, n + 1):
@@ -295,7 +309,7 @@ def _run_q_iteration(
         del gg, head
         tau = 2.0 * tau - tau * tau
         g[inside:] = tau
-        q = _trapezoid_convolve(g, step)
+        q = _trapezoid_convolve(g, step, inside if tau == 0.0 else None)
         del g
         if source is not None:
             q += source
@@ -349,10 +363,13 @@ def _adaptive_levels(
     keeps the last level and tail it reached and a later n continues from
     there: a level on an extent depends only on the seed, the extent and
     the level, so resuming gives a fresh run's values bit for bit.  The
-    yielded values are a view that the next n overwrites.
+    yielded values are a view that the next n overwrites.  The working nodes
+    and s are kept for the largest extent reached, and a smaller extent reads
+    their prefix: both are causal, so the prefix is that extent's own array.
     """
     n_base = grid.node_count - 1
     step = grid.step
+    nodes = source = np.empty(0)
     chains: dict[float, tuple[int, np.ndarray, float]] = {}  # extent -> (level, values, tail)
     tau0 = 0.0 if seed is None else seed.tail_value
     last_n = 0
@@ -365,8 +382,13 @@ def _adaptive_levels(
             del chains[t_end]
         for i, t_end in enumerate(extents):
             j, kept, tau = chains.get(t_end, (0, None, tau0))
-            work_nodes = _working_nodes(t_end, step, node_cap)
-            s = 1.0 - _trapezoid_convolve(np.ones_like(work_nodes), step) if picard_source else None
+            count = _interval_count(t_end, step) + 1
+            if count > len(nodes):
+                nodes = _working_nodes(t_end, step, node_cap)
+                if picard_source:
+                    source = 1.0 - _trapezoid_convolve(np.ones_like(nodes), step)
+            work_nodes = nodes[:count]
+            s = source[:count] if picard_source else None
             if picard_source and kept is None:  # q_1 = clip(s + K(0)) and K(0) = 0
                 j, kept = 1, np.clip(s, 0.0, 1.0)
             q, tau = _run_q_iteration(alpha, step, work_nodes, seed, s, kept, tau, j + 1, n)

@@ -352,6 +352,15 @@ class TestSubcommands:
                    "--step", "0.02") == 0
         assert "explosion iterate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("t_max, probes", [
+        ("2", ["q(2)"]), ("4", ["q(2)", "q(4)"]), ("5", ["q(2)", "q(4)", "q(5)"]),
+    ])
+    def test_qn_reports_each_probe_once(self, tmp_path, capsys, t_max, probes):
+        assert run(tmp_path, "qn", "--alpha", "1.5", "--depth", "3", "--t-max", t_max,
+                   "--step", "0.01", "--seed", "5") == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert [p.split("=")[0] for p in line.split(": ", 1)[1].split(", ")] == probes
+
     def test_paths(self, tmp_path):
         assert run(tmp_path, "paths", "--alpha", "1.5", "--samples", "40", "--depth", "12",
                    "--t-max", "4", "--t-step", "2", "--seed", "5") == 0

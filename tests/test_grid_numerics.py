@@ -158,6 +158,81 @@ class TestConvolveKernel:
         assert np.max(np.abs(g.values - _reference_trapezoid_convolve(phi, step))) <= bound
 
 
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestLiveHeadScan:
+    """With phi[live:] == 0 the scan runs through the block that holds node
+    live and writes every later block as its carry's decay, with the full
+    scan's bits."""
+
+    @pytest.mark.parametrize("step", [0.01, 0.003, 0.00025])
+    def test_matches_the_full_scan_bit_for_bit(self, step):
+        rng = np.random.default_rng(31)
+        block = _scan_block(step)
+        size = 3 * block + 7
+        for live in sorted({0, 1, block - 1, block, block + 1, size - 2, size - 1, size}):
+            phi = rng.random(size)
+            phi[live:] = 0.0
+            g = _trapezoid_convolve(phi, step, live)
+            assert _same_bits(g, _trapezoid_convolve(phi, step)), live
+            if 0 < live < 2 * block:  # the decayed blocks carry a nonzero value
+                assert g[-1] > 0.0, live
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        step=st.floats(0.002, 5.0),
+        size=st.integers(1, 3000),
+        live_share=st.floats(0.0, 1.0),
+        scale=st.floats(0.0, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_nonnegative_heads(self, step, size, live_share, scale, seed):
+        # heads with exact zeros inside, at any scale, and live anywhere in [0, size]
+        rng = np.random.default_rng(seed)
+        live = round(live_share * size)
+        phi = np.zeros(size)
+        phi[:live] = scale * rng.random(live) * (rng.random(live) < 0.8)
+        assert _same_bits(_trapezoid_convolve(phi, step, live), _trapezoid_convolve(phi, step))
+
+    @pytest.mark.parametrize("step", [0.01, 0.003, 0.00025])
+    def test_smaller_extents_read_a_prefix_of_the_largest(self, step):
+        # the chains keep the nodes and Picard's source of the largest extent
+        # reached, and a smaller extent reads their prefix
+        extents = grid_numerics._extent_schedule(UniformGrid(8.0, step), 2.0, 3)
+        assert len(extents) == 4
+        cap = grid_numerics.DEFAULT_NODE_CAP
+        largest = grid_numerics._working_nodes(extents[-1], step, cap)
+        source = 1.0 - _trapezoid_convolve(np.ones_like(largest), step)
+        for t_end in extents:
+            nodes = grid_numerics._working_nodes(t_end, step, cap)
+            assert _same_bits(largest[: len(nodes)], nodes), t_end
+            fresh = 1.0 - _trapezoid_convolve(np.ones_like(nodes), step)
+            assert _same_bits(source[: len(nodes)], fresh), t_end
+
+    @pytest.mark.parametrize("alpha", [0.66, 2.5])
+    def test_only_chains_with_a_zero_tail_skip_the_scan(self, alpha, monkeypatch):
+        # Picard and its complement carry tau = 0; a constant seed of 0.3 does not
+        real = grid_numerics._trapezoid_convolve
+        calls = []
+        monkeypatch.setattr(grid_numerics, "_trapezoid_convolve", lambda phi, step, live=None:
+                            calls.append((len(phi), live)) or real(phi, step, live))
+        u = picard_v0(alpha, GRID, 4)
+        picard = list(calls)
+        calls.clear()
+        iterate_qn(alpha, GRID, 4, u.complement())
+        explosion = list(calls)
+        calls.clear()
+        iterate_qn(alpha, GRID, 4, GridFunction.constant(GRID, 0.3))
+        assert calls and all(live is None for _, live in calls)
+        nodes, live = explosion[0]
+        assert picard[1] == (nodes, live)  # the source scans in full, the levels do not
+        assert picard[0] == (nodes, None)
+        assert live == grid_numerics._inside(alpha, np.arange(nodes) * GRID.step)
+        assert (live == nodes) == (alpha <= 1.0)
+
+
 class TestPicard:
     def test_k0_is_constant_one(self):
         u0 = picard_v0(3.0, GRID, 0)
@@ -211,7 +286,8 @@ class TestPicard:
             _, tried = _reference_picard(alpha, GRID, k)
             scans = []
             monkeypatch.setattr(grid_numerics, "_trapezoid_convolve",
-                                lambda phi, step: scans.append(len(phi)) or real(phi, step))
+                                lambda phi, step, live=None:
+                                scans.append(len(phi)) or real(phi, step, live))
             picard_v0(alpha, GRID, k)
             assert scans == [nodes for nodes in tried for _ in range(k)], k
 

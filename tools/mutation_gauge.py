@@ -120,8 +120,14 @@ MUTANTS = [
            (f"{T_CLI}::TestUsage::test_alpha_t_past_the_float_range_reads_the_tail",)),
     # the chain step and the scan
     Mutant("left-endpoint-trapezoid", GRID,
-           "    b[1:] += phi[1:]\n", "    b[1:] *= 2.0\n",
+           "    b[1:end] += phi[1:end]\n", "    b[1:end] *= 2.0\n",
            (f"{T_CHECKS}::test_check_passes[quadrature_order]",)),
+    Mutant("decay-from-the-live-block", GRID,
+           "min(len(phi), (live // block + 1) * block)", "min(len(phi), live // block * block)",
+           (f"{T_GRID}::TestLiveHeadScan",)),
+    Mutant("live-head-with-a-nonzero-tail", GRID,
+           "inside if tau == 0.0 else None)", "inside)",
+           (f"{T_GRID}::TestCarriedTail",)),
     Mutant("cube-for-square", GRID,
            "gg = head * head  #", "gg = head * head * head  #",
            (f"{T_GRID}::TestIterateQn",)),
