@@ -363,13 +363,10 @@ def _adaptive_levels(
     keeps the last level and tail it reached and a later n continues from
     there: a level on an extent depends only on the seed, the extent and
     the level, so resuming gives a fresh run's values bit for bit.  The
-    yielded values are a view that the next n overwrites.  The working nodes
-    and s are kept for the largest extent reached, and a smaller extent reads
-    their prefix: both are causal, so the prefix is that extent's own array.
+    yielded values are a view that the next n overwrites.
     """
     n_base = grid.node_count - 1
     step = grid.step
-    nodes = source = np.empty(0)
     chains: dict[float, tuple[int, np.ndarray, float]] = {}  # extent -> (level, values, tail)
     tau0 = 0.0 if seed is None else seed.tail_value
     last_n = 0
@@ -382,13 +379,8 @@ def _adaptive_levels(
             del chains[t_end]
         for i, t_end in enumerate(extents):
             j, kept, tau = chains.get(t_end, (0, None, tau0))
-            count = _interval_count(t_end, step) + 1
-            if count > len(nodes):
-                nodes = _working_nodes(t_end, step, node_cap)
-                if picard_source:
-                    source = 1.0 - _trapezoid_convolve(np.ones_like(nodes), step)
-            work_nodes = nodes[:count]
-            s = source[:count] if picard_source else None
+            work_nodes = _working_nodes(t_end, step, node_cap)
+            s = 1.0 - _trapezoid_convolve(np.ones_like(work_nodes), step) if picard_source else None
             if picard_source and kept is None:  # q_1 = clip(s + K(0)) and K(0) = 0
                 j, kept = 1, np.clip(s, 0.0, 1.0)
             q, tau = _run_q_iteration(alpha, step, work_nodes, seed, s, kept, tau, j + 1, n)

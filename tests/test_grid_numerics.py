@@ -196,21 +196,6 @@ class TestLiveHeadScan:
         phi[:live] = scale * rng.random(live) * (rng.random(live) < 0.8)
         assert _same_bits(_trapezoid_convolve(phi, step, live), _trapezoid_convolve(phi, step))
 
-    @pytest.mark.parametrize("step", [0.01, 0.003, 0.00025])
-    def test_smaller_extents_read_a_prefix_of_the_largest(self, step):
-        # the chains keep the nodes and Picard's source of the largest extent
-        # reached, and a smaller extent reads their prefix
-        extents = grid_numerics._extent_schedule(UniformGrid(8.0, step), 2.0, 3)
-        assert len(extents) == 4
-        cap = grid_numerics.DEFAULT_NODE_CAP
-        largest = grid_numerics._working_nodes(extents[-1], step, cap)
-        source = 1.0 - _trapezoid_convolve(np.ones_like(largest), step)
-        for t_end in extents:
-            nodes = grid_numerics._working_nodes(t_end, step, cap)
-            assert _same_bits(largest[: len(nodes)], nodes), t_end
-            fresh = 1.0 - _trapezoid_convolve(np.ones_like(nodes), step)
-            assert _same_bits(source[: len(nodes)], fresh), t_end
-
     @pytest.mark.parametrize("alpha", [0.66, 2.5])
     def test_only_chains_with_a_zero_tail_skip_the_scan(self, alpha, monkeypatch):
         # Picard and its complement carry tau = 0; a constant seed of 0.3 does not
