@@ -329,6 +329,7 @@ def _product_walk(
         # above); an inf or nan (inf / inf) slack bounds nothing
         slack = (math.nextafter(math.nextafter(reach, math.inf) / float(scale), math.inf)
                  if scale else math.inf)
+        columns, reads = [], []
         for j, t in enumerate(ts.tolist()):
             # the alive entries not beyond reach; a nan horizon is kept, so
             # it shows in the product instead of reading as the factor 1
@@ -346,12 +347,17 @@ def _product_walk(
                 np.multiply(gap, scale, out=horizons, where=gap > 0.0)
                 inside = ~(horizons > reach)
                 where, horizons = where[inside], horizons[inside]
-            counts = _per_tree(where, sizes)
             if horizons.size:
-                factors = np.interp(horizons, x0.grid.nodes, x0.values, right=x0.tail_value)
-                grown = np.flatnonzero(counts)
+                columns.append((j, _per_tree(where, sizes)))
+                reads.append(horizons)
+        if reads:  # every column's factors from one lookup; each column reads its slice
+            factors = _read_x0(np.concatenate(reads), x0).repeat(width)
+            stop = 0
+            for (j, counts), horizons in zip(columns, reads):
+                start, stop = stop, stop + width * horizons.size
+                grown = counts.nonzero()[0]
                 starts = (counts.cumsum() - counts)[grown] * width
-                out[grown, j] = np.multiply.reduceat(factors.repeat(width), starts)
+                out[grown, j] = np.multiply.reduceat(factors[start:stop], starts)
     if alive is None:
         return out, None
     inside = sums < census_t
@@ -361,6 +367,39 @@ def _product_walk(
                                 sums[inside], alpha ** -n)
         alive[:, n] = _per_tree((sums <= census_t).nonzero()[0], sizes)
     return out, (_leaves(alive), alive)
+
+
+def _read_x0(h: np.ndarray, x0) -> np.ndarray:
+    """np.interp(h, x0.grid.nodes, x0.values, right=x0.tail_value) bit for bit,
+    with each interval found by index on the uniform nodes i * step instead
+    of by a search.
+
+    With h clipped to [0, last node], floor(h / step) is its interval up to
+    one node either way, and one compare with each real node around it
+    corrects that (a nan reads the last interval).  np.interp's own slope
+    (v[j+1] - v[j]) / (x[j+1] - x[j]) then gives slope * (h - x[j]) + v[j].
+    np.interp's separate cases stay: a horizon on a node reads that node's
+    value (h < 0 reads node 0, and the last node its own value), one past
+    the last node reads the tail, and a nan passes through the arithmetic
+    with its bits.  The values are finite, so np.interp's retry of a nan
+    interpolant never applies.
+    """
+    nodes, values = x0.grid.nodes, x0.values
+    last = len(nodes) - 1
+    end = nodes[last]
+    slopes = (values[1:] - values[:-1]) / (nodes[1:] - nodes[:-1])
+    clipped = np.clip(h, 0.0, end)
+    j = np.fmin(clipped / x0.grid.step, last - 1).astype(np.intp)
+    j -= clipped < nodes.take(j)
+    j += clipped >= nodes.take(j + 1)
+    at = nodes.take(j)
+    base = values.take(j)
+    factors = slopes.take(j, mode="clip")  # j = last only on the last node, a node case
+    factors *= clipped - at
+    factors += base
+    np.copyto(factors, base, where=clipped == at)
+    np.copyto(factors, x0.tail_value, where=h > end)
+    return factors
 
 
 @lru_cache(maxsize=64)

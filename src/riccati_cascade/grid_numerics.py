@@ -292,13 +292,17 @@ def _run_q_iteration(
     out.  Level first-1 is `q` on the working nodes with tail `tau`, or,
     when q is None, `seed`, whose tail is `tau`.  Returns level n and its
     tail.  Past the first `_inside` nodes, alpha * t lies beyond the working
-    grid, so g there is tau and 2g - g^2 is the next tau.  With tau = 0 the
-    scan's input is 0 there, so the scan stops at the live head.
+    grid, so g there is tau and 2g - g^2 is the next tau, which is written
+    there once.  With tau = 0 the scan's input is 0 there, so the scan
+    stops at the live head.
     """
     inside = _inside(alpha, work_nodes)
     for j in range(first, n + 1):
+        # 2g - g^2 past `inside`, where g is the old tau
+        tau = 2.0 * tau - tau * tau
         if q is None:
             g = seed(_scaled(alpha, work_nodes))
+            g[inside:] = tau
         else:
             g = _advanced(q, work_nodes, alpha, tau)
         q = None  # drop the previous level before the scan
@@ -307,8 +311,6 @@ def _run_q_iteration(
         head *= 2.0
         head -= gg
         del gg, head
-        tau = 2.0 * tau - tau * tau
-        g[inside:] = tau
         q = _trapezoid_convolve(g, step, inside if tau == 0.0 else None)
         del g
         if source is not None:

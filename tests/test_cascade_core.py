@@ -30,6 +30,7 @@ from riccati_cascade.cascade_core import (
     _MAX_COUNT_DEPTH,
     _level,
     _product_walk,
+    _read_x0,
     _survival_mass,
     _validate_horizon_depth,
 )
@@ -652,6 +653,52 @@ class TestColumnWindow:
                 below_and_read += c < bound and x0.tail_value == 1.0 and want[0, 0] != 1.0
         # one ulp below the rounded bound can still be within reach
         assert below_and_read > 0 or alpha == 1e308
+
+
+def _interp_bits(h, x0):
+    """np.interp's read of x0 at h, the oracle of `_read_x0`, as int64 bits."""
+    return np.interp(h, x0.grid.nodes, x0.values, right=x0.tail_value).view(np.int64)
+
+
+def _edge_horizons(nodes):
+    """Every node and one ulp to either side of it, the ends, and past them."""
+    end = nodes[-1]
+    return np.concatenate([nodes, np.nextafter(nodes, math.inf), np.nextafter(nodes, -math.inf),
+                           [0.0, -0.0, end, np.nextafter(end, math.inf), 2.0 * end, 1e308,
+                            math.inf, math.nan, -math.nan]])
+
+
+class TestReadX0:
+    """The column read's lookup of x0 by index on its uniform grid is
+    np.interp on the installed numpy, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(step=st.floats(0.00025, 1.0 / 3.0), t_max=st.floats(0.0, 20.0),
+           values=st.one_of(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0)),
+           tail=st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    def test_matches_np_interp(self, step, t_max, values, tail):
+        # an integer draws the values in [0, 1] from a generator; a float is
+        # a constant seed
+        grid = UniformGrid(max(t_max, step), step)
+        if isinstance(values, int):
+            rng = np.random.default_rng(values)
+            x0 = GridFunction(grid, rng.random(grid.node_count), tail)
+            inner = rng.uniform(0.0, 1.1 * grid.t_end, 1000)
+        else:
+            x0 = GridFunction(grid, np.full(grid.node_count, values), tail)
+            inner = np.linspace(0.0, 1.1 * grid.t_end, 1000)
+        h = np.concatenate([_edge_horizons(grid.nodes), inner])
+        assert np.array_equal(_read_x0(h, x0).view(np.int64), _interp_bits(h, x0))
+
+    def test_signed_zeros_at_the_nodes_read_as_np_interp_does(self):
+        # slope * 0 + v loses the sign of a -0.0 node value: a horizon on a
+        # node, the first and the last included, reads the node's own bits
+        grid = UniformGrid(1.0, 0.125)
+        values = np.array([-0.0, 0.5, -0.0, -0.0, 0.0, 1.0, -0.0, 0.25, -0.0])
+        for tail in (1.0, 0.0):
+            x0 = GridFunction(grid, values, tail)
+            h = np.concatenate([_edge_horizons(grid.nodes), [-1.0, -math.inf]])
+            assert np.array_equal(_read_x0(h, x0).view(np.int64), _interp_bits(h, x0)), tail
 
 
 class TestCensusReadout:

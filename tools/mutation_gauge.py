@@ -44,6 +44,12 @@ CORE = "src/riccati_cascade/cascade_core.py"
 T_CLI = "tests/test_cli.py"
 T_GRID = "tests/test_grid_numerics.py"
 T_CHECKS = "tests/test_checks.py"
+# the chain step's fill of g: the seed's level, or the previous level advanced
+_TAIL_FILL = ("        if q is None:\n"
+              "            g = seed(_scaled(alpha, work_nodes))\n"
+              "            g[inside:] = tau\n"
+              "        else:\n"
+              "            g = _advanced(q, work_nodes, alpha, tau)\n")
 
 MUTANTS = [
     # the CLI run envelope and the manifest
@@ -105,11 +111,14 @@ MUTANTS = [
            "GridFunction(grid, 1.0 - vals, 1.0, range_bounds=True)",
            (f"{T_GRID}::TestCarriedTail",)),
     Mutant("zero-extrapolation", GRID,
-           "        g[inside:] = tau\n", "        g[inside:] = 0.0\n",
+           "    g[inside:] = tau\n    return g\n", "    g[inside:] = 0.0\n    return g\n",
+           (f"{T_GRID}::TestCarriedTail",)),
+    Mutant("seed-level-keeps-the-seed-tail", GRID,
+           "            g[inside:] = tau\n", "",
            (f"{T_GRID}::TestCarriedTail",)),
     Mutant("flat-tail-reads-the-old-tau", GRID,
-           "        tau = 2.0 * tau - tau * tau\n        g[inside:] = tau\n",
-           "        g[inside:] = tau\n        tau = 2.0 * tau - tau * tau\n",
+           "        tau = 2.0 * tau - tau * tau\n" + _TAIL_FILL,
+           _TAIL_FILL + "        tau = 2.0 * tau - tau * tau\n",
            (f"{T_GRID}::TestCarriedTail",)),
     Mutant("grid-overflow-warns", GRID,
            '    with np.errstate(over="ignore"):\n        return alpha * nodes\n',
@@ -226,6 +235,23 @@ MUTANTS = [
            "if not (0.0 <= x0.tail_value", "if False and not (0.0 <= x0.tail_value",
            ("tests/test_cascade_core.py::TestProductIndicator"
             "::test_out_of_range_seed_rejected_before_any_clock",)),
+    # the column read's lookup of x0 by index
+    Mutant("lookup-floor-never-lowered", CORE,
+           "    j -= clipped < nodes.take(j)\n", "",
+           ("tests/test_cascade_core.py::TestReadX0",)),
+    Mutant("lookup-floor-never-raised", CORE,
+           "    j += clipped >= nodes.take(j + 1)\n", "",
+           ("tests/test_cascade_core.py::TestReadX0",)),
+    Mutant("lookup-without-the-node-case", CORE,
+           "    np.copyto(factors, base, where=clipped == at)\n", "",
+           ("tests/test_cascade_core.py::TestReadX0",)),
+    Mutant("lookup-past-the-end-reads-the-last-node", CORE,
+           "    np.copyto(factors, x0.tail_value, where=h > end)\n", "",
+           ("tests/test_cascade_core.py::TestReadX0",)),
+    Mutant("columns-read-the-first-slice", CORE,
+           "start, stop = stop, stop + width * horizons.size",
+           "start, stop = 0, width * horizons.size",
+           ("tests/test_cascade_core.py::TestColumnWindow",)),
     # the census read off the product walk
     Mutant("census-strict-at-the-horizon", CORE,
            "alive[:, d] = _per_tree((sums <= census_t).nonzero()[0], sizes)",
