@@ -43,9 +43,9 @@ from .grid_numerics import (
 )
 from .monte_carlo import (
     McConfig,
-    _census_rows,
     _histogram,
     _leaf_totals,
+    _walk_rows,
     compare_series,
     estimate_leaf_histogram,
     estimate_path_tails,
@@ -96,7 +96,7 @@ def _rows_with(bad: np.ndarray) -> int:
 
 
 def check_leaf_count_coupled_monotonicity(seed: int, samples: int) -> CheckResult:
-    leaves, _ = _census_rows(CascadeParams(1.5, seed), 2.0, 12, 0, samples)
+    leaves, _ = _walk_rows(CascadeParams(1.5, seed), 0, samples, 12, t_census=2.0)[1]
     counts = np.cumsum(leaves, axis=1)  # the leaf count truncated at n = 0..12
     violations = _rows_with(counts[:, 1:] < counts[:, :-1])
     return CheckResult(
@@ -344,7 +344,8 @@ def check_tail_domination(
     cfg = McConfig(seed=seed, samples=samples)
     s_series, l_series = estimate_path_tails(alpha, ts, 12, cfg)
     dominated = bool(np.all(l_series.means() >= s_series.means()))
-    leaves, alive = _census_rows(CascadeParams(alpha, seed), 2.0, 12, 0, min(samples, 300))
+    leaves, alive = _walk_rows(CascadeParams(alpha, seed), 0, min(samples, 300), 12,
+                               t_census=2.0)[1]
     s_flags = alive == 0  # no vertex alive at depth d = 0..12
     l_flags = np.cumsum(leaves, axis=1) > 0  # some leaf at depth <= d
     mono_bad = (_rows_with(s_flags[:, :-1] & ~s_flags[:, 1:])
@@ -360,7 +361,7 @@ def check_tail_domination(
 def check_heavy_tail_signature(seed: int, samples: int) -> CheckResult:
     """Mean truncated leaf count at alpha=1.5 grows with the depth cap; the
     caps 5, 10 and 15 are read off one depth-15 census per tree."""
-    leaves, alive = _census_rows(CascadeParams(1.5, seed), 2.0, 15, 0, samples)
+    leaves, alive = _walk_rows(CascadeParams(1.5, seed), 0, samples, 15, t_census=2.0)[1]
     hists = [_histogram(2.0, d, [_leaf_totals(leaves[:, :d + 1], alive[:, :d + 1])])
              for d in (5, 10, 15)]
     means = [h.mean() for h in hists]

@@ -44,7 +44,7 @@ from .grid_numerics import (
 )
 from .monte_carlo import (
     McConfig,
-    _figures_estimates,
+    _estimate,
     _map_chunks,
     estimate_leaf_histogram,
     estimate_path_tails,
@@ -321,7 +321,7 @@ def _cmd_figures(args, seed: int, out: Path) -> tuple[list[Path], int]:
     grid = _base_grid(args)
     cfg = McConfig(seed=seed, samples=args.samples, workers=args.workers)
     v0 = picard_v0(alpha, grid, args.picard_k, args.eps_tail)
-    hist, curve = _figures_estimates(alpha, 2.0, _t_points(args.t_max, 0.5), args.depth, v0, cfg)
+    curve, hist = _estimate(alpha, _t_points(args.t_max, 0.5), args.depth, v0, 2.0, cfg)
     files = [
         write_histogram_csv(hist, out / "histogram.csv"),
         write_series_csv(curve, out / "vcurve_mc.csv"),

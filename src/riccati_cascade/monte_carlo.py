@@ -7,9 +7,11 @@ call go through one map, so a call starts at most one process pool.
 Standard errors are CLT-based (sample standard deviation / sqrt(n));
 `compare_series` scores a mean against its reference's binomial variance.
 
-The v-curve walks each tree once, at its largest t, and reads the product
-at every t-point from that walk; `figures` reads its leaf census off the
-same walk, through the same map.  The two path tails come from one
+The v-curve and the leaf-count histogram come from one chunk function
+over the samplers' one tree walk: the v-curve walks each tree once, at its
+largest t, and reads the product at every t-point from that walk; the
+histogram is the walk's census, and `figures` reads both off the same
+walk, through the same map.  The two path tails come from one
 estimator: each tree is walked once per t-point and yields both the min-
 and the max-path-sum indicator.
 """
@@ -28,10 +30,8 @@ import numpy as np
 from .cascade_core import (
     CascadeParams,
     ClockSource,
-    _product_walk,
+    _walk,
     derive_stream,
-    leaf_census,
-    sample_product_indicator,
     sample_tail_flags,
 )
 from .grid_numerics import GridFunction
@@ -211,15 +211,32 @@ def _sub_batches(params: CascadeParams, first: int, stop: int, size: int):
         _SPARE_GENERATORS.extend(slots)
 
 
-def _vcurve_chunk(task) -> np.ndarray:
-    """Rows lo..hi-1 of the v-curve draws: one row per tree, one column per t."""
-    alpha, seed, ts, n, v0, base_index, lo, hi = task
-    params = CascadeParams(alpha, seed)
-    # v0 is a GridFunction: callable, with the tail policy built in
-    return np.concatenate([
-        sample_product_indicator(params, ts, n, v0, _CLOCKS, streams)
-        for streams in _sub_batches(params, base_index + lo, base_index + hi, _batch_size(n))
+def _walk_rows(params: CascadeParams, first: int, stop: int, n: int, ts=(), v0=None,
+               t_census: float | None = None) -> tuple:
+    """The walk's (draws, census) of the trees on substreams first..stop-1,
+    in sub-batches: row i is tree first + i.  The census is the pair
+    (leaves, alive); None stands for what is not asked, as in the walk."""
+    draws, censuses = zip(*[
+        _walk(params, ts, n, v0, _CLOCKS, streams, census_t=t_census)
+        for streams in _sub_batches(params, first, stop, _batch_size(n))
     ])
+    return (None if draws[0] is None else np.concatenate(draws),
+            None if t_census is None else tuple(np.concatenate(r) for r in zip(*censuses)))
+
+
+def _leaf_totals(leaves: np.ndarray, alive: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each tree's truncated leaf count, and how many trees are alive at the cap."""
+    return leaves.sum(axis=1), int(np.count_nonzero(alive[:, -1]))
+
+
+def _walk_chunk(task) -> tuple:
+    """Rows lo..hi-1 of the v-curve draws (one row per tree, one column per
+    t) and, given t_census, the leaf totals and truncated count of the
+    census at t_census on the same trees; None where there is none."""
+    alpha, seed, ts, n, v0, t_census, base_index, lo, hi = task
+    draws, census = _walk_rows(CascadeParams(alpha, seed), base_index + lo, base_index + hi,
+                               n, ts, v0, t_census)
+    return draws, None if census is None else _leaf_totals(*census)
 
 
 def _check_depth(depth: int) -> None:
@@ -229,11 +246,41 @@ def _check_depth(depth: int) -> None:
 
 
 def _check_t_points(t_points) -> list[float]:
+    """The horizons as floats; rejects one that is not finite and >= 0
+    before a pool starts."""
     t_list = [float(t) for t in t_points]
     for t in t_list:
-        if t < 0.0:
-            raise ValueError(f"t_points must be >= 0, got {t}")
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ValueError(f"horizon t must be finite and >= 0, got {t}")
     return t_list
+
+
+def _estimate(
+    alpha: float,
+    t_points,
+    depth: int,
+    v0: GridFunction | None,
+    t_census: float | None,
+    cfg: McConfig,
+) -> tuple[EstimateSeries, Histogram | None]:
+    """The v-curve at t_points seeded by v0 and, given t_census, the
+    histogram of truncated leaf counts at t_census, both on trees
+    0..samples-1 and both from one walk per tree, through one map.  The
+    v-curve's draws are those of a walk without the census; sharing the
+    trees makes the two correlated."""
+    _check_depth(depth)
+    t_list = _check_t_points(t_points)
+    if t_census is not None:
+        [t_census] = _check_t_points([t_census])
+    elif not t_list:
+        return EstimateSeries(()), None
+    [results] = _map_points(_walk_chunk, [(alpha, cfg.seed, np.array(t_list), depth, v0, t_census)],
+                            cfg.samples, cfg.workers)
+    draws, totals = zip(*results)
+    draws = np.concatenate(draws) if t_list else None  # one row per tree, one column per t
+    series = EstimateSeries(tuple(EstimatePoint(t, *_mean_stderr(draws[:, j]), len(draws))
+                                  for j, t in enumerate(t_list)))
+    return series, None if t_census is None else _histogram(t_census, depth, totals)
 
 
 def estimate_v_curve(
@@ -251,42 +298,7 @@ def estimate_v_curve(
     against a deterministic reference is valid per point, but the points
     are correlated; a test over several points must allow for that.
     """
-    _check_depth(n)
-    t_list = _check_t_points(t_points)
-    if not t_list:
-        return EstimateSeries(())
-    [results] = _map_points(_vcurve_chunk, [(alpha, cfg.seed, np.array(t_list), n, v0)],
-                            cfg.samples, cfg.workers)
-    return _series(t_list, np.concatenate(results))
-
-
-def _series(t_list: list[float], draws: np.ndarray) -> EstimateSeries:
-    """Column j of `draws`, one row per tree, as the point at t_list[j]."""
-    return EstimateSeries(tuple(
-        EstimatePoint(t, *_mean_stderr(draws[:, j]), len(draws)) for j, t in enumerate(t_list)
-    ))
-
-
-def _census_rows(
-    params: CascadeParams, t: float, depth: int, first: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Leaves and alive vertices per depth of the trees on substreams
-    first..stop-1, in sub-batches: row i is the census of tree first + i."""
-    batches = [leaf_census(params, t, depth, _CLOCKS, streams)
-               for streams in _sub_batches(params, first, stop, _batch_size(depth))]
-    leaves, alive = zip(*batches)
-    return np.concatenate(leaves), np.concatenate(alive)
-
-
-def _leaf_totals(leaves: np.ndarray, alive: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each tree's truncated leaf count, and how many trees are alive at the cap."""
-    return leaves.sum(axis=1), int(np.count_nonzero(alive[:, -1]))
-
-
-def _hist_chunk(task) -> tuple[np.ndarray, int]:
-    alpha, seed, t, depth, base_index, lo, hi = task
-    return _leaf_totals(*_census_rows(CascadeParams(alpha, seed), t, depth,
-                                      base_index + lo, base_index + hi))
+    return _estimate(alpha, t_points, n, v0, None, cfg)[0]
 
 
 def estimate_leaf_histogram(
@@ -296,10 +308,7 @@ def estimate_leaf_histogram(
     cfg: McConfig,
 ) -> Histogram:
     """Histogram of truncated leaf counts over cfg.samples independent trees."""
-    _check_depth(depth)
-    [results] = _map_points(_hist_chunk, [(alpha, cfg.seed, float(t), depth)],
-                            cfg.samples, cfg.workers)
-    return _histogram(t, depth, results)
+    return _estimate(alpha, (), depth, None, t, cfg)[1]
 
 
 def _histogram(t: float, depth: int, results: list[tuple[np.ndarray, int]]) -> Histogram:
@@ -316,38 +325,6 @@ def _histogram(t: float, depth: int, results: list[tuple[np.ndarray, int]]) -> H
         truncated_count=truncated,
         max_observed=int(values.max()),
     )
-
-
-def _figures_chunk(task) -> tuple[np.ndarray, np.ndarray, int]:
-    """Rows lo..hi-1 of the v-curve draws, with the leaf totals and the
-    truncated count of the census at t_census on the same trees."""
-    alpha, seed, ts, n, v0, t_census, base_index, lo, hi = task
-    params = CascadeParams(alpha, seed)
-    walks = [_product_walk(params, ts, n, v0, _CLOCKS, streams, census_t=t_census)
-             for streams in _sub_batches(params, base_index + lo, base_index + hi, _batch_size(n))]
-    leaves, alive = (np.concatenate(rows) for rows in zip(*(census for _, census in walks)))
-    return np.concatenate([out for out, _ in walks]), *_leaf_totals(leaves, alive)
-
-
-def _figures_estimates(
-    alpha: float,
-    t_census: float,
-    t_points,
-    depth: int,
-    v0: GridFunction,
-    cfg: McConfig,
-) -> tuple[Histogram, EstimateSeries]:
-    """`estimate_leaf_histogram` at t_census and `estimate_v_curve` at
-    t_points, both on trees 0..samples-1 and both from one walk per tree,
-    through one map.  The v-curve's draws are those of estimate_v_curve;
-    the histogram comes from the same trees, so the two are correlated."""
-    _check_depth(depth)
-    t_list = _check_t_points(t_points)
-    [results] = _map_points(
-        _figures_chunk, [(alpha, cfg.seed, np.array(t_list), depth, v0, float(t_census))],
-        cfg.samples, cfg.workers)
-    hist = _histogram(t_census, depth, [r[1:] for r in results])
-    return hist, _series(t_list, np.concatenate([r[0] for r in results]))
 
 
 def _tail_chunk(task) -> tuple[np.ndarray, np.ndarray]:

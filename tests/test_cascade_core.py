@@ -29,13 +29,13 @@ from riccati_cascade.cascade_core import (
     _DEFAULT_FRONTIER_CAP,
     _MAX_COUNT_DEPTH,
     _level,
-    _product_walk,
     _read_x0,
     _survival_mass,
     _validate_horizon_depth,
+    _walk,
 )
 from riccati_cascade.checks import _required_count
-from riccati_cascade.monte_carlo import _batch_size, _census_rows
+from riccati_cascade.monte_carlo import _batch_size, _walk_rows
 
 EXP = ClockSource.exponential()
 
@@ -219,29 +219,30 @@ def _reference_walk_census(params, top, t_c, n, clocks, stream):
     `figures` reads off the v-curve's walk.
 
     The walk keeps a vertex whose clock is within its horizon at top and
-    carries its path sum S, at least one ulp above its parent's; a vertex
-    at depth d < n is alive at t_c when S <= t_c.  Depth n's clocks, which
-    the product walk never draws, are drawn last, and only below the
-    vertices whose S is < t_c."""
+    carries its path sum S, at least one ulp above its parent's.  At t_c =
+    top every vertex the walk keeps is alive; below it a vertex at depth
+    d < n is alive at t_c when S <= t_c, and depth n's clocks, which the
+    product walk never draws, are drawn last and only below the vertices
+    whose S is < t_c."""
     alpha = np.float64(params.alpha)
     horizons, sums = np.array([float(top)]), np.zeros(1)
     alive = np.zeros(n + 1, dtype=np.int64)
     for d in range(n + 1):
-        if d == n:
+        if d == n and t_c < top:
             horizons, sums = horizons[sums < t_c], sums[sums < t_c]
         drawn = horizons > 0.0
         horizons, sums = horizons[drawn], sums[drawn]
         draws = clocks.draw(stream, horizons.size)
         kept = draws <= horizons
         sums = np.maximum(sums + alpha ** -d * draws, np.nextafter(sums, np.inf))[kept]
-        alive[d] = np.count_nonzero(sums <= t_c)
+        alive[d] = sums.size if t_c == top else np.count_nonzero(sums <= t_c)
         horizons = np.repeat(alpha * (horizons - draws)[kept], 2)
         sums = np.repeat(sums, 2)
     vertices = np.concatenate([[1], 2 * alive[:-1]])
     return vertices - alive, alive
 
 
-@np.errstate(over="ignore", divide="ignore")  # as in _product_walk
+@np.errstate(over="ignore", divide="ignore")  # as in _walk
 def _reference_full_frontier_columns(params, ts, n, x0, clocks, streams):
     """The v-curve columns as read before the window: the walk at max(ts)
     through `_level`, then every lower column t scans the whole depth-n
@@ -717,8 +718,8 @@ class TestCensusReadout:
         clocks = ClockSource.constant(value)
         for t_c, ts, n in itertools.product((0.0, 0.7, 1.5, 1.75, 2.0, 3.0),
                                             ([3.0], [0.5, 8.0], [1.0]), (0, 1, 4, 8)):
-            _, (leaves, alive) = _product_walk(p, ts, n, SEEDS[0], clocks, _streams(p, 0, 3),
-                                               census_t=t_c)
+            _, (leaves, alive) = _walk(p, ts, n, SEEDS[0], clocks, _streams(p, 0, 3),
+                                       census_t=t_c)
             want_leaves, want_alive = leaf_census(p, t_c, n, clocks, _streams(p, 0, 3))
             assert np.array_equal(alive, want_alive), (t_c, ts, n)
             assert np.array_equal(leaves, want_leaves), (t_c, ts, n)
@@ -735,7 +736,7 @@ class TestCensusReadout:
             index += size
             got_streams = [derive_stream(p, i) for i in ids]
             (_, census), blocks = _logged_draws(
-                lambda: _product_walk(p, ts, n, SEEDS[1], EXP, got_streams, census_t=t_c),
+                lambda: _walk(p, ts, n, SEEDS[1], EXP, got_streams, census_t=t_c),
                 got_streams)
             want_streams = [derive_stream(p, i) for i in ids]
             want = [_reference_walk_census(p, max(ts + [t_c]), t_c, n, EXP, s)
@@ -758,7 +759,7 @@ class TestCensusReadout:
         ts = [0.5, 2.0, 8.0, 5.0]
         for x0, n, t_c in itertools.product(SEEDS, (0, 3, 10), (0.0, 2.0)):
             got_streams = _streams(p, 0, 12)
-            out, (_, alive) = _product_walk(p, ts, n, x0, clocks, got_streams, census_t=t_c)
+            out, (_, alive) = _walk(p, ts, n, x0, clocks, got_streams, census_t=t_c)
             want = sample_product_indicator(p, ts, n, x0, clocks, _streams(p, 0, 12))
             assert out.tolist() == want.tolist(), (x0.tail_value, n, t_c)
             want_streams = _streams(p, 0, 12)
@@ -768,18 +769,57 @@ class TestCensusReadout:
 
     def test_a_census_beyond_the_largest_t_walks_at_the_census_horizon(self):
         p = params(1.5, seed=139)
-        out, census = _product_walk(p, [0.5, 1.0], 6, SEEDS[0], EXP, _streams(p, 0, 20),
-                                    census_t=2.0)
+        out, census = _walk(p, [0.5, 1.0], 6, SEEDS[0], EXP, _streams(p, 0, 20),
+                            census_t=2.0)
         want = sample_product_indicator(p, [0.5, 1.0, 2.0], 6, SEEDS[0], EXP, _streams(p, 0, 20))
         assert out.tolist() == want[:, :2].tolist()
         replay = [_reference_walk_census(p, 2.0, 2.0, 6, EXP, s) for s in _streams(p, 0, 20)]
         assert np.array_equal(census[1], [r[1] for r in replay])
 
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(
+        alpha=st.just(0.0) | st.floats(0.5, 3.0),
+        t=st.floats(0.0, 4.0),
+        depth=st.integers(0, 8),
+        trees=st.integers(1, 6),
+        clock=st.none() | st.floats(0.05, 2.0),
+        first=st.integers(0, 10_000),
+    )
+    def test_census_only_walk_is_the_per_tree_census(self, alpha, t, depth, trees, clock, first):
+        # tree by tree, bit for bit, and the stream positions after the walk
+        p = params(alpha, seed=149)
+        clocks = EXP if clock is None else ClockSource.constant(clock)
+        got_streams, want_streams = _streams(p, first, trees), _streams(p, first, trees)
+        out, (leaves, alive) = _walk(p, (), depth, None, clocks, got_streams, census_t=t)
+        want = [_reference_leaf_census(p, t, depth, clocks, s) for s in want_streams]
+        assert out is None
+        assert np.array_equal(leaves, [w[0] for w in want])
+        assert np.array_equal(alive, [w[1] for w in want])
+        assert _next_draws(got_streams) == _next_draws(want_streams)
+
+    @pytest.mark.parametrize("alpha, value, t", [(1.0, 0.3, 1.5), (1.25, 1.75, 3.15),
+                                                 (2.0, 0.25, 0.4375), (1.5, 0.5, 1.75)])
+    def test_a_census_at_the_walks_horizon_is_leaf_census(self, alpha, value, t):
+        # the path sums meet t, where they and the horizon walk may round
+        # apart: at alpha = 1.25, clocks 1.75 and t = 3.15 the depth-1 sum
+        # rounds to 3.1500000000000004 while the walk keeps that vertex at
+        # horizon 0.  At its own horizon the census is the walk's survivors
+        p = params(alpha, seed=151)
+        clocks = ClockSource.constant(value)
+        for ts, n in itertools.product(([t / 3, t], [t], [0.0, t / 2, t]), (0, 1, 3, 6, 8)):
+            got_streams, want_streams = _streams(p, 0, 3), _streams(p, 0, 3)
+            out, census = _walk(p, ts, n, SEEDS[0], clocks, got_streams, census_t=t)
+            want = leaf_census(p, t, n, clocks, want_streams)
+            assert np.array_equal(census[0], want[0]) and np.array_equal(census[1], want[1])
+            assert _next_draws(got_streams) == _next_draws(want_streams)
+            assert out.tolist() == sample_product_indicator(p, ts, n, SEEDS[0], clocks,
+                                                            _streams(p, 0, 3)).tolist()
+
     def test_rejects_a_bad_census_horizon(self):
         p = params(1.5)
         for t_c in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="horizon"):
-                _product_walk(p, [1.0], 3, SEEDS[0], EXP, [derive_stream(p, 0)], census_t=t_c)
+                _walk(p, [1.0], 3, SEEDS[0], EXP, [derive_stream(p, 0)], census_t=t_c)
 
 
 class TestTailFlags:
@@ -813,7 +853,7 @@ class TestTailFlags:
         # survival flag and census alive-at-depth estimate the same probability
         p = params(1.5, seed=53)
         n = 4000
-        _, alive = _census_rows(p, 2.0, 6, 0, n)
+        _, alive = _walk_rows(p, 0, n, 6, t_census=2.0)[1]
         s_flags, _ = sample_tail_flags(p, 2.0, 6, EXP, _streams(p, n, n))
         se = math.sqrt(2.0 * 0.25 / n)
         assert abs(np.mean(alive[:, 6] > 0) - np.mean(~s_flags)) < 5.0 * se
@@ -883,7 +923,7 @@ class TestTailFlags:
                  for t in (0.0, 0.5, 2.0, 8.0)[alpha > 1.0:]]
         for k, (t, depth) in enumerate(cases):
             s_flags, l_flags = sample_tail_flags(p, t, depth, EXP, _streams(p, 200 * k, 200))
-            leaves, alive = _census_rows(p, t, depth, 200 * k, 200 * (k + 1))
+            leaves, alive = _walk_rows(p, 200 * k, 200 * (k + 1), depth, t_census=t)[1]
             assert np.array_equal(s_flags, alive[:, depth] == 0), (t, depth)
             assert np.array_equal(l_flags, leaves.sum(axis=1) > 0), (t, depth)
 

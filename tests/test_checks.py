@@ -192,6 +192,9 @@ def test_worker_invariance_maps_the_histogram_through_the_pool(monkeypatch):
     monkeypatch.setattr(monte_carlo, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(monte_carlo.os, "cpu_count", lambda: 2)
     assert checks.check_worker_count_invariance(1.5, 3).passed
-    # workers=1 runs serially; workers=2 starts one pool per estimator call
-    assert calls[2:] == [("_vcurve_chunk", 2, 2), ("_hist_chunk", 2, 2)]
+    # workers=1 runs serially; workers=2 maps each estimator call's two
+    # chunks through one pool, the v-curve's and the histogram's through
+    # the same chunk function
+    assert [c[1:] for c in calls[2:]] == [(2, 2), (2, 2)]
+    assert len({c[0] for c in calls}) == 1
     assert pools == [2, 2]

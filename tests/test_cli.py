@@ -222,6 +222,15 @@ class TestUsage:
         assert err.startswith("error: ") and "\n" not in err
         assert not (tmp_path / argv[0]).exists()
 
+    @pytest.mark.parametrize("t", ["-1", "nan", "inf"])
+    def test_bad_hist_horizon_exits_2_before_any_pool(self, tmp_path, capsys, monkeypatch, t):
+        started = _count_pools(monkeypatch)
+        monkeypatch.setattr(monte_carlo.os, "cpu_count", lambda: 2)
+        assert run(tmp_path, "hist", "--t", t, "--workers", "2", "--samples", "2000",
+                   "--depth", "4", "--seed", "1") == 2
+        assert capsys.readouterr().err.startswith("error: horizon t must be finite and >= 0")
+        assert started == []
+
     # and below 1: q stays below 1, so a tail of 1 or more certifies every working grid
     @pytest.mark.parametrize("eps_tail", ["nan", "inf", "0", "-1", "1", "2"])
     def test_eps_tail_must_be_finite_and_positive(self, tmp_path, capsys, eps_tail):

@@ -50,6 +50,23 @@ class TestConfig:
             with pytest.raises(ValueError, match="depth must be >= 0"):
                 estimate()
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_estimators_reject_a_bad_horizon_before_any_pool(self, monkeypatch, t):
+        # 2,000 samples are two chunks, which two workers would map through a pool
+        class NoPool(monte_carlo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool started")
+
+        monkeypatch.setattr(monte_carlo, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(monte_carlo.os, "cpu_count", lambda: 2)
+        cfg = McConfig(seed=1, samples=2000, workers=2)
+        v0 = picard_v0(1.5, GRID, 5)
+        for estimate in (lambda: estimate_leaf_histogram(1.5, t, 4, cfg),
+                         lambda: estimate_v_curve(1.5, [1.0, t], 4, v0, cfg),
+                         lambda: estimate_path_tails(1.5, [t], 4, cfg)):
+            with pytest.raises(ValueError, match="horizon t must be finite and >= 0"):
+                estimate()
+
 
 class TestVCurve:
     def test_zero_horizon_exact(self):

@@ -44,6 +44,8 @@ CORE = "src/riccati_cascade/cascade_core.py"
 T_CLI = "tests/test_cli.py"
 T_GRID = "tests/test_grid_numerics.py"
 T_CHECKS = "tests/test_checks.py"
+# the census's level at depth n, which only it draws
+_DEPTH_N = "    if parents.size:  # depth n, whose clocks only the census draws\n"
 # the chain step's fill of g: the seed's level, or the previous level advanced
 _TAIL_FILL = ("        if q is None:\n"
               "            g = seed(_scaled(alpha, work_nodes))\n"
@@ -125,7 +127,7 @@ MUTANTS = [
            "    return alpha * nodes\n",
            (f"{T_CLI}::TestUsage::test_alpha_t_past_the_float_range_reads_the_tail",)),
     Mutant("tail-walk-overflow-warns", CORE,
-           '@np.errstate(over="ignore")  # as in leaf_census; inf lies beyond the cut\n', "",
+           '@np.errstate(over="ignore")  # as in _walk; inf lies beyond the cut\n', "",
            (f"{T_CLI}::TestUsage::test_alpha_t_past_the_float_range_reads_the_tail",)),
     # the chain step and the scan
     Mutant("left-endpoint-trapezoid", GRID,
@@ -196,7 +198,7 @@ MUTANTS = [
            "near = sums <= t\n", "near = parents >= scale * (top - t)\n",
            ("tests/test_cascade_core.py::TestHorizons",)),
     Mutant("path-sums-unweighted", CORE,
-           "sums, alpha ** -d)", "sums, 1.0)",
+           "else alpha ** -d)", "else 1.0)",
            ("tests/test_cascade_core.py::TestHorizons",)),
     Mutant("path-sums-may-tie", CORE,
            "        if tie.any():", "        if False:",
@@ -232,7 +234,7 @@ MUTANTS = [
            "near &= sums >= t - slack", "near &= sums >= top - slack",
            ("tests/test_cascade_core.py::TestColumnWindow",)),
     Mutant("range-check-skipped", CORE,
-           "if not (0.0 <= x0.tail_value", "if False and not (0.0 <= x0.tail_value",
+           "if product and not (0.0 <= x0.tail_value", "if False and not (0.0 <= x0.tail_value",
            ("tests/test_cascade_core.py::TestProductIndicator"
             "::test_out_of_range_seed_rejected_before_any_clock",)),
     # the column read's lookup of x0 by index
@@ -254,33 +256,50 @@ MUTANTS = [
            ("tests/test_cascade_core.py::TestColumnWindow",)),
     # the census read off the product walk
     Mutant("census-strict-at-the-horizon", CORE,
-           "alive[:, d] = _per_tree((sums <= census_t).nonzero()[0], sizes)",
-           "alive[:, d] = _per_tree((sums < census_t).nonzero()[0], sizes)",
+           "alive[:, d] = sizes if own else _per_tree((sums <= census_t)",
+           "alive[:, d] = sizes if own else _per_tree((sums < census_t)",
            ("tests/test_cascade_core.py::TestCensusReadout",)),
     Mutant("census-depth-n-strict-at-the-horizon", CORE,
-           "alive[:, n] = _per_tree((sums <= census_t).nonzero()[0], sizes)",
-           "alive[:, n] = _per_tree((sums < census_t).nonzero()[0], sizes)",
+           "alive[:, n] = sizes if own else _per_tree((sums <= census_t)",
+           "alive[:, n] = sizes if own else _per_tree((sums < census_t)",
            ("tests/test_cascade_core.py::TestCensusReadout",)),
     Mutant("census-skips-depth-n", CORE,
-           "    if inside.any():\n", "    if False:\n",
+           _DEPTH_N, "    if False:\n",
            ("tests/test_cascade_core.py::TestCensusReadout",)),
     Mutant("census-walks-at-the-largest-t-only", CORE,
-           "        top = max(top, census_t)\n", "        pass\n",
+           "top = float(max(read_at))", "top = float(max(read_at[:2]))",
            ("tests/test_cascade_core.py::TestCensusReadout",)),
+    Mutant("census-only-walk-skips-depth-n", CORE,
+           _DEPTH_N, "    if parents.size and not own:\n",
+           ("tests/test_cascade_core.py::TestBatchCore::test_batches_match_per_tree_samplers",)),
+    Mutant("sums-never-carried-for-a-lower-column", CORE,
+           "if min(read_at) < top else None",
+           "if census_t is not None and census_t < top else None",
+           ("tests/test_cascade_core.py::TestColumnWindow",)),
+    Mutant("census-at-the-walks-horizon-by-the-sums", CORE,
+           "own = census_t == top", "own = census_t == top and min(read_at) == top",
+           ("tests/test_cascade_core.py::TestCensusReadout"
+            "::test_a_census_at_the_walks_horizon_is_leaf_census",)),
     Mutant("figures-census-skips-depth-n", CORE,
-           "    if inside.any():\n", "    if False:\n",
+           _DEPTH_N, "    if False:\n",
            (f"{T_CLI}::TestFigures",)),
     Mutant("truncated-at-the-root", MC,
            "int(np.count_nonzero(alive[:, -1]))", "int(np.count_nonzero(alive[:, 0]))",
            (f"{T_CLI}::TestFigures::test_matches_reference_bundle",)),
     Mutant("vcurve-columns-shuffled", MC,
-           "draws[:, j]), len(draws)) for j, t in enumerate(t_list)",
-           "draws[:, -1 - j]), len(draws)) for j, t in enumerate(t_list)",
+           "EstimatePoint(t, *_mean_stderr(draws[:, j])",
+           "EstimatePoint(t, *_mean_stderr(draws[:, -1 - j])",
            ("tests/test_monte_carlo.py::TestVCurve",)),
     Mutant("worker-check-below-the-pool", "src/riccati_cascade/checks.py",
            "cfg = McConfig(seed=seed, samples=1200, workers=workers)\n        series",
            "cfg = McConfig(seed=seed, samples=200, workers=workers)\n        series",
            (f"{T_CHECKS}::test_worker_invariance_maps_the_histogram_through_the_pool",)),
+    Mutant("infinite-horizon-reaches-the-pool", MC,
+           "if not (math.isfinite(t) and t >= 0.0):", "if t < 0.0:",
+           ("tests/test_monte_carlo.py::TestConfig",)),
+    Mutant("census-horizon-checked-in-the-pool", MC,
+           "        [t_census] = _check_t_points([t_census])\n", "        pass\n",
+           (f"{T_CLI}::TestUsage",)),
     Mutant("estimators-draw-constant-clocks", MC,
            "_CLOCKS = ClockSource.exponential()", "_CLOCKS = ClockSource.constant(1.0)",
            ("tests/test_monte_carlo.py::TestVCurve",)),
